@@ -8,8 +8,8 @@ each corpus size, measuring what the arena design actually trades:
 * **resident-set ceiling** — each arm runs in its own forked child process
   and reports its ``ru_maxrss`` peak, plus the store's exact coverage
   accounting: the memory backend pins every interned column on the heap,
-  the arena keeps only the LRU bitset cache + offsets resident while the
-  values column lives in the file (OS page cache),
+  the arena keeps only the offsets column resident while the values column
+  lives in the file (OS page cache),
 * **per-question loop latency** — the full Darwin loop on both backends,
   with the histories asserted identical (the arena must be a pure storage
   swap, never a behavioural one).
@@ -41,7 +41,6 @@ from repro.core.darwin import Darwin
 from repro.core.oracle import BudgetedOracle, GroundTruthOracle
 from repro.datasets import load_dataset
 from repro.grammars.tokensregex import TokensRegexGrammar
-from repro.index.arena import ArenaConfig
 from repro.index.trie_index import CorpusIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +51,6 @@ def run_arm(
     backend: str,
     num_sentences: int,
     budget: int,
-    bitset_cache_bytes: int,
     arena_path: Optional[str],
 ) -> Dict[str, object]:
     """Build the index and drive the Darwin loop on one backend.
@@ -64,11 +62,6 @@ def run_arm(
         "directions", num_sentences=num_sentences, seed=7, parse_trees=False
     )
     grammar = TokensRegexGrammar(max_phrase_len=4)
-    arena_config = (
-        ArenaConfig(path=arena_path, bitset_cache_bytes=bitset_cache_bytes)
-        if backend == "arena"
-        else None
-    )
 
     start = time.perf_counter()
     index = CorpusIndex.build(
@@ -77,7 +70,7 @@ def run_arm(
         max_depth=10,
         min_coverage=2,
         coverage_backend=backend,
-        arena_config=arena_config,
+        arena_path=arena_path,
     )
     build_seconds = time.perf_counter() - start
 
@@ -118,22 +111,15 @@ def run_arm(
         "peak_rss_bytes": peak_rss_bytes(),
     }
     if backend == "arena":
-        result["bitset_cache"] = store.bitset_cache_stats()
         result["arena_file_bytes"] = os.path.getsize(store.arena.path)
     return result
 
 
-def measure_scale(
-    num_sentences: int, budget: int, bitset_cache_bytes: int
-) -> Dict[str, object]:
+def measure_scale(num_sentences: int, budget: int) -> Dict[str, object]:
     with tempfile.TemporaryDirectory(prefix="bench-arena-") as tmp:
         arena_path = os.path.join(tmp, f"bench-{num_sentences}.arena")
-        memory = run_isolated(
-            run_arm, "memory", num_sentences, budget, bitset_cache_bytes, None
-        )
-        arena = run_isolated(
-            run_arm, "arena", num_sentences, budget, bitset_cache_bytes, arena_path
-        )
+        memory = run_isolated(run_arm, "memory", num_sentences, budget, None)
+        arena = run_isolated(run_arm, "arena", num_sentences, budget, arena_path)
     history_match = memory.pop("history") == arena.pop("history")
     headline = {
         "per_question_ratio": round(
@@ -165,15 +151,13 @@ def main() -> None:
     )
     parser.add_argument("--budget", type=int, default=40,
                         help="oracle budget for the per-question loop runs")
-    parser.add_argument("--bitset-cache-bytes", type=int, default=8 << 20,
-                        help="arena LRU bitset budget (resident ceiling knob)")
     parser.add_argument("--output", type=Path, default=OUTPUT_PATH)
     args = parser.parse_args()
 
     results: List[Dict[str, object]] = []
     for size in args.sizes:
         print(f"== {size} sentences ==")
-        entry = measure_scale(size, args.budget, args.bitset_cache_bytes)
+        entry = measure_scale(size, args.budget)
         results.append(entry)
         memory, arena, headline = entry["memory"], entry["arena"], entry["headline"]
         print(f"  build              : {arena['build_seconds']:.2f}s arena vs "
@@ -184,7 +168,7 @@ def main() -> None:
               f"({headline['per_question_ratio']}x, "
               f"history match: {headline['history_match']})")
         print(f"  coverage resident  : {arena['coverage_resident_bytes']:,} B "
-              f"arena (cache) vs {memory['coverage_resident_bytes']:,} B heap "
+              f"arena (offsets) vs {memory['coverage_resident_bytes']:,} B heap "
               f"({headline['coverage_resident_ratio']}x); "
               f"arena file {arena['arena_file_bytes']:,} B")
         print(f"  peak RSS           : {arena['peak_rss_bytes'] / 1e6:.0f} MB vs "
@@ -194,7 +178,6 @@ def main() -> None:
         "benchmark": "bench_arena",
         "dataset": "directions",
         "budget": args.budget,
-        "bitset_cache_bytes": args.bitset_cache_bytes,
         "results": results,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")

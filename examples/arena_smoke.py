@@ -36,7 +36,6 @@ def main() -> int:
         spec["config"]["index"] = {
             "coverage_backend": "arena",
             "arena_path": str(Path(tmp) / "arena_smoke.arena"),
-            "bitset_cache_bytes": 1 << 20,
         }
         checkpoint = str(Path(tmp) / "arena_smoke.npz")
 

@@ -88,7 +88,6 @@ from .engine.registry import (
 )
 from .grammars import TokensRegexGrammar, TreeMatchGrammar, TreePattern
 from .index import (
-    ArenaConfig,
     CorpusIndex,
     CoverageArena,
     CoverageStore,
@@ -151,7 +150,6 @@ __all__ = [
     "TreeMatchGrammar",
     "TreePattern",
     "CorpusIndex",
-    "ArenaConfig",
     "CoverageArena",
     "CoverageStore",
     "CoverageView",

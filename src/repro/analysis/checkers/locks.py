@@ -1,7 +1,7 @@
 """RPR004 — lock discipline: guarded state stays guarded everywhere.
 
-``MetricsRegistry``, ``SharedFeatureCache``, and the arena bitset caches are
-mutated from concurrent tenants; each owns a ``threading.Lock``/``RLock``
+``MetricsRegistry`` and ``SharedFeatureCache`` are mutated from concurrent
+tenants; each owns a ``threading.Lock``/``RLock``
 and wraps its mutations in ``with self._lock:``. The failure mode this
 checker targets is *partial* discipline: one method mutates an attribute
 under the lock, another mutates the same attribute bare, and the race only
@@ -22,7 +22,7 @@ Per class, the checker:
    ``__post_init__``) are exempt: the object is not yet shared.
 
 Classes with no lock attribute are skipped entirely — single-threaded state
-(``CoverageStore``'s bitset LRU, for instance) carries no lock on purpose.
+(``CoverageStore``'s intern maps, for instance) carries no lock on purpose.
 """
 
 from __future__ import annotations

@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="arena file for --coverage-backend arena "
                                  "(default: a temporary file; pass a real "
                                  "path to make checkpoints resumable)")
-    run_parser.add_argument("--bitset-cache-bytes", type=int,
-                            default=8 << 20, metavar="BYTES",
-                            help="LRU byte budget for the arena backend's "
-                                 "packed-bitset fast path")
     run_parser.add_argument("--metrics-out", default=None, metavar="PATH",
                             help="enable repro.obs telemetry and write a "
                                  "metrics+spans snapshot JSON here at exit "
@@ -201,11 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--arena-path", default=None, metavar="PATH",
                               help="shared arena file (default: a temporary "
                                    "file for this serve run)")
-    serve_parser.add_argument("--bitset-cache-bytes", type=int,
-                              default=8 << 20, metavar="BYTES",
-                              help="LRU byte budget for the shared arena's "
-                                   "packed-bitset fast path (bounds the "
-                                   "pool's shared resident memory)")
     serve_parser.add_argument("--expected-digest", default=None, metavar="HEX",
                               help="refuse to serve unless the shared arena "
                                    "matches this content digest")
@@ -383,8 +374,7 @@ def _command_run(args: argparse.Namespace) -> int:
                    "num_candidates": 1000, "oracle": "ground_truth",
                    "classifier": {"model": "logistic", "epochs": args.epochs},
                    "index": {"coverage_backend": args.coverage_backend,
-                             "arena_path": args.arena_path,
-                             "bitset_cache_bytes": args.bitset_cache_bytes}},
+                             "arena_path": args.arena_path}},
         "seeds": {"rule_texts": [seed_rule]},
     })
     corpus = engine.corpus
@@ -534,8 +524,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         num_candidates=1000,
         classifier=ClassifierConfig(epochs=args.epochs),
         index=IndexConfig(coverage_backend=args.coverage_backend,
-                          arena_path=args.arena_path,
-                          bitset_cache_bytes=args.bitset_cache_bytes),
+                          arena_path=args.arena_path),
     )
     crowd_config = CrowdConfig(
         num_annotators=args.annotators,
@@ -771,12 +760,11 @@ def _command_stats(args: argparse.Namespace) -> int:
               f"({questions['yes']:.0f} yes / {questions['no']:.0f} no)")
     if "retrains" in summary:
         print(f"  classifier retrains: {summary['retrains']:.0f}")
-    for block in ("feature_cache", "bitset_cache"):
-        cache = summary.get(block)
-        if cache:
-            print(f"  {block}: {cache['hits']:.0f} hits / "
-                  f"{cache['misses']:.0f} misses "
-                  f"(ratio {cache['hit_ratio']:.2f})")
+    cache = summary.get("feature_cache")
+    if cache:
+        print(f"  feature_cache: {cache['hits']:.0f} hits / "
+              f"{cache['misses']:.0f} misses "
+              f"(ratio {cache['hit_ratio']:.2f})")
     commits = summary.get("crowd_commits")
     if commits:
         print(f"  crowd commits: {commits['accept']:.0f} accepted / "

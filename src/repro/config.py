@@ -116,14 +116,10 @@ class IndexConfig:
             an unlinked-on-exit temporary file — fine for one-shot runs, but
             checkpoints taken over a temp arena cannot be resumed after the
             process exits; pass a real path for durable runs.
-        bitset_cache_bytes: LRU byte budget for the packed-bitset fast path
-            on the arena backend (resident memory for coverage stays on the
-            order of this budget). ``0`` disables bitsets entirely.
     """
 
     coverage_backend: str = "memory"
     arena_path: Optional[str] = None
-    bitset_cache_bytes: int = 8 << 20
 
     def __post_init__(self) -> None:
         if self.coverage_backend not in ("memory", "arena"):
@@ -133,8 +129,6 @@ class IndexConfig:
             )
         if self.arena_path is not None and not isinstance(self.arena_path, str):
             raise ConfigurationError("arena_path must be a string path or None")
-        if self.bitset_cache_bytes < 0:
-            raise ConfigurationError("bitset_cache_bytes must be non-negative")
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able mapping of this config (checkpoint manifests)."""
@@ -421,9 +415,6 @@ class GatewayConfig:
             ``0.0.0.0`` explicitly to serve external traffic.
         port: TCP port; ``0`` asks the OS for an ephemeral port (the bound
             port is reported on stdout and in the ``--ready-file``).
-        backend: HTTP server backend registry name (``"stdlib"`` ships;
-            ``"starlette"`` is recognised and used when the package is
-            importable, without ever being a hard dependency).
         queue_depth: Bound of each tenant's admission queue — jobs admitted
             but not yet finished. A full queue answers 429 + ``Retry-After``.
         deadline_ms: Default per-request deadline. Time a job may spend
@@ -442,7 +433,6 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    backend: str = "stdlib"
     queue_depth: int = 32
     deadline_ms: float = 10_000.0
     retry_after_s: int = 1
@@ -459,8 +449,6 @@ class GatewayConfig:
             raise ConfigurationError(
                 f"port must be in [0, 65535] (0 = ephemeral), got {self.port}"
             )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ConfigurationError("backend must be a registry name")
         if self.queue_depth < 1:
             raise ConfigurationError("queue_depth must be at least 1")
         if self.deadline_ms <= 0:

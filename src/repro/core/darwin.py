@@ -182,14 +182,6 @@ class Darwin:
             self.index = index
         else:
             index_config = self.config.index
-            arena_config = None
-            if index_config.coverage_backend == "arena":
-                from ..index.arena import ArenaConfig
-
-                arena_config = ArenaConfig(
-                    path=index_config.arena_path,
-                    bitset_cache_bytes=index_config.bitset_cache_bytes,
-                )
             with self._phase("index_build"):
                 self.index = CorpusIndex.build(
                     corpus,
@@ -197,7 +189,7 @@ class Darwin:
                     max_depth=self.config.max_sketch_depth,
                     min_coverage=self.config.min_coverage,
                     coverage_backend=index_config.coverage_backend,
-                    arena_config=arena_config,
+                    arena_path=index_config.arena_path,
                 )
         if featurizer is not None:
             self.featurizer = featurizer
@@ -280,15 +272,6 @@ class Darwin:
               stats.get("num_interned", 0.0))
         gauge("coverage_resident_bytes", "Heap bytes held by coverage columns",
               stats.get("resident_coverage_bytes", 0.0))
-        bitset = store.bitset_cache_stats()
-        gauge("coverage_bitset_hits", "Bitset LRU cache hits",
-              bitset.get("hits", 0.0))
-        gauge("coverage_bitset_misses", "Bitset LRU cache misses",
-              bitset.get("misses", 0.0))
-        gauge("coverage_bitset_evictions", "Bitset LRU cache evictions",
-              bitset.get("evictions", 0.0))
-        gauge("coverage_bitset_bytes", "Bitset LRU cache resident bytes",
-              bitset.get("cached_bytes", 0.0))
         for key in ("shared_routed", "local_routed", "local_interned"):
             if key in stats:  # overlay backend only
                 gauge(f"overlay_{key}",

@@ -482,19 +482,11 @@ class DarwinEngine:
                     "the same instances to DarwinEngine.load(path, grammars=...)"
                 )
             grammars = _build_grammars(config, grammar_options)
-        from ..index.arena import ArenaConfig
         from ..index.trie_index import CorpusIndex
 
-        # Runtime arena tuning (bitset cache budget) comes from the config;
-        # the arena *file* is located by the checkpoint's reference and its
+        # The arena *file* is located by the checkpoint's reference and its
         # content digest is verified on reattach.
-        arena_config = ArenaConfig(
-            path=config.index.arena_path,
-            bitset_cache_bytes=config.index.bitset_cache_bytes,
-        )
-        index = CorpusIndex.from_state(
-            manifest["index"], bundle, grammars, arena_config=arena_config
-        )
+        index = CorpusIndex.from_state(manifest["index"], bundle, grammars)
         engine = cls(
             corpus,
             config=config,

@@ -35,7 +35,6 @@ from ..classifier.features import (
 from ..config import CrowdConfig, DarwinConfig, FleetConfig, IndexConfig
 from ..errors import ConfigurationError
 from ..gateway.wire import BadRequestError, NotFoundError
-from ..index.arena import ArenaConfig
 from ..index.trie_index import CorpusIndex
 from ..obs import get_registry
 from ..text.corpus import Corpus
@@ -97,7 +96,6 @@ class FleetSupervisor:
                 index=IndexConfig(
                     coverage_backend="arena",
                     arena_path=os.path.join(self.workdir, "fleet.arena"),
-                    bitset_cache_bytes=config.index.bitset_cache_bytes,
                 )
             )
         self.config = config
@@ -139,10 +137,7 @@ class FleetSupervisor:
             max_depth=self.config.max_sketch_depth,
             min_coverage=self.config.min_coverage,
             coverage_backend="arena",
-            arena_config=ArenaConfig(
-                path=self.config.index.arena_path,
-                bitset_cache_bytes=self.config.index.bitset_cache_bytes,
-            ),
+            arena_path=self.config.index.arena_path,
         )
         index.store.flush()
         index.store.arena.reopen_read_only()

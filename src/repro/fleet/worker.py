@@ -90,7 +90,6 @@ def _build_pool(spec: Dict[str, Any]) -> TenantPool:
     from ..datasets import load_dataset
     from ..engine.engine import _build_grammars
     from ..engine.state import read_checkpoint
-    from ..index.arena import ArenaConfig
     from ..index.trie_index import CorpusIndex
 
     manifest, bundle = read_checkpoint(
@@ -100,15 +99,7 @@ def _build_pool(spec: Dict[str, Any]) -> TenantPool:
     dataset_spec = manifest["dataset"]
     corpus = load_dataset(dataset_spec["name"], **dataset_spec.get("options", {}))
     grammars = _build_grammars(config, {})
-    index = CorpusIndex.from_state(
-        manifest["index"],
-        bundle,
-        grammars,
-        arena_config=ArenaConfig(
-            path=config.index.arena_path,
-            bitset_cache_bytes=config.index.bitset_cache_bytes,
-        ),
-    )
+    index = CorpusIndex.from_state(manifest["index"], bundle, grammars)
     slab = (
         SharedMemorySlab.attach(spec["slab"]) if spec.get("slab") else None
     )

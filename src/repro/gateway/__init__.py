@@ -15,8 +15,7 @@ Layering, innermost out:
   surface as one ``handle()`` function plus the SIGTERM drain path, over a
   pluggable serving backend (:class:`LocalPoolBackend` in-process,
   :class:`FleetBackend` routing to :mod:`repro.fleet` workers).
-* :mod:`~repro.gateway.server` — byte-moving backends behind a string
-  registry (``stdlib`` ships; ``starlette`` is optional, never required).
+* :mod:`~repro.gateway.server` — the byte-moving stdlib HTTP listener.
 
 Typical embedding (the ``repro serve-http`` CLI does exactly this)::
 
@@ -35,7 +34,7 @@ from ..config import GatewayConfig
 from .auth import TokenAuthenticator
 from .handlers import FleetBackend, GatewayApp, LocalPoolBackend
 from .queues import GatewayJob, TenantQueue
-from .server import BACKENDS, GatewayServer, build_server
+from .server import GatewayServer, build_server
 from .wire import (
     BadRequestError,
     DeadlineExceededError,
@@ -50,7 +49,6 @@ from .wire import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BadRequestError",
     "DeadlineExceededError",
     "DrainingError",

@@ -1,11 +1,11 @@
-"""Framework-free request handling: routes, backends, and the drain path.
+"""Framework-free request handling: routes, serving backends, and the drain path.
 
 :class:`GatewayApp` is the whole HTTP surface expressed as one pure-ish
 function, ``handle(method, path, headers, body) -> (status, headers, body)``.
-Server backends (:mod:`repro.gateway.server`) only move bytes; everything a
+The server (:mod:`repro.gateway.server`) only moves bytes; everything a
 request *means* — routing, auth, admission, deadline bookkeeping, error
 envelopes, metrics — happens here, which is what makes the app testable
-without ever opening a socket and keeps alternate backends (starlette) thin.
+without ever opening a socket.
 
 Where the tenants *live* is a second, orthogonal axis — the serving
 backend. :class:`LocalPoolBackend` hosts them in-process on a

@@ -1,14 +1,9 @@
-"""HTTP server backends over :class:`~repro.gateway.handlers.GatewayApp`.
+"""The HTTP listener over :class:`~repro.gateway.handlers.GatewayApp`.
 
-The app is framework-free; a *backend* is only the byte-moving shell around
-``app.handle``. Backends are registered by name in :data:`BACKENDS` — the
-same string-keyed registry pattern the engine uses for grammars and oracles
-— so ``GatewayConfig(backend="stdlib")`` picks the shipped
-:class:`ThreadingHTTPServer` shell and ``backend="starlette"`` builds an
-ASGI adapter *iff* starlette is importable, without ever being imported at
-module load (zero new hard dependencies).
+The app is framework-free; the server is only the byte-moving shell around
+``app.handle``: a stdlib :class:`ThreadingHTTPServer` (zero dependencies).
 
-The stdlib backend's shutdown choreography is the part worth reading
+The server's shutdown choreography is the part worth reading
 twice: ``daemon_threads=False`` + ``block_on_close=True`` make
 ``server_close()`` join every in-flight request thread, so the drain
 sequence — stop admitting, stop accepting, join handlers, then flush and
@@ -23,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..errors import ConfigurationError
 from .handlers import GatewayApp
@@ -33,8 +28,8 @@ from .wire import MAX_BODY_BYTES
 class GatewayServer:
     """A running (or startable) gateway: one app bound to one listener.
 
-    Thin lifecycle wrapper every backend returns, so the CLI and tests can
-    treat them uniformly: :meth:`serve_forever` blocks, :meth:`stop`
+    Thin lifecycle wrapper over the listener, shared by the CLI and tests:
+    :meth:`serve_forever` blocks, :meth:`stop`
     unblocks it from any *other* thread, and :attr:`port` reports the bound
     port (meaningful with ephemeral ``port=0``).
     """
@@ -71,7 +66,17 @@ class GatewayServer:
         self._shutdown()
 
 
-def _build_stdlib(app: GatewayApp, host: str, port: int) -> GatewayServer:
+def build_server(
+    app: GatewayApp, host: Optional[str] = None, port: Optional[int] = None
+) -> GatewayServer:
+    """Bind ``app`` to a threaded stdlib HTTP server; returns the server.
+
+    Host/port default to the app's :class:`~repro.config.GatewayConfig`;
+    ``port=0`` binds an ephemeral port (read it back from ``server.port``).
+    """
+    host = host if host is not None else app.config.host
+    port = port if port is not None else app.config.port
+
     class _Handler(BaseHTTPRequestHandler):
         # Request threads outlive accept-loop shutdown only until
         # server_close(); keep-alive would hold them (and the drain) open
@@ -131,49 +136,4 @@ def _build_stdlib(app: GatewayApp, host: str, port: int) -> GatewayServer:
         shutdown=_shutdown,
         host=host,
         port=httpd.server_address[1],
-    )
-
-
-def _build_starlette(app: GatewayApp, host: str, port: int) -> GatewayServer:
-    try:
-        import starlette  # noqa: F401
-        import uvicorn  # noqa: F401
-    except ImportError as exc:
-        raise ConfigurationError(
-            "the 'starlette' gateway backend needs starlette + uvicorn "
-            "installed; the shipped 'stdlib' backend has no dependencies"
-        ) from exc
-    # The adapter is deliberately unwritten until someone deploys behind an
-    # ASGI stack: the registry seam is the deliverable, and it fails loudly
-    # instead of half-working.
-    raise ConfigurationError(
-        "starlette backend adapter not implemented yet; use backend='stdlib'"
-    )
-
-
-BACKENDS: Dict[str, Callable[[GatewayApp, str, int], GatewayServer]] = {
-    "stdlib": _build_stdlib,
-    "starlette": _build_starlette,
-}
-
-
-def build_server(
-    app: GatewayApp, host: Optional[str] = None, port: Optional[int] = None
-) -> GatewayServer:
-    """Bind ``app`` with the backend its config names; returns the server.
-
-    Host/port default to the app's :class:`~repro.config.GatewayConfig`;
-    ``port=0`` binds an ephemeral port (read it back from ``server.port``).
-    """
-    backend = app.config.backend
-    builder = BACKENDS.get(backend)
-    if builder is None:
-        raise ConfigurationError(
-            f"unknown gateway backend {backend!r}; registered: "
-            f"{', '.join(sorted(BACKENDS))}"
-        )
-    return builder(
-        app,
-        host if host is not None else app.config.host,
-        port if port is not None else app.config.port,
     )

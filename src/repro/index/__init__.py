@@ -2,7 +2,7 @@
 and the columnar coverage store backing all of them (with an optional
 memory-mapped arena backend for larger-than-memory coverage columns)."""
 
-from .arena import ArenaConfig, CoverageArena
+from .arena import CoverageArena
 from .coverage import (
     CoverageStore,
     CoverageView,
@@ -16,7 +16,6 @@ from .trie_index import CorpusIndex, IndexNode
 from .hierarchy import RuleHierarchy
 
 __all__ = [
-    "ArenaConfig",
     "CoverageArena",
     "CoverageStore",
     "CoverageView",

@@ -43,7 +43,6 @@ import json
 import os
 import tempfile
 import weakref
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -59,33 +58,6 @@ HEADER_SIZE = 4096
 
 VALUES_DTYPE = np.dtype("<i4")
 OFFSETS_DTYPE = np.dtype("<i8")
-
-DEFAULT_BITSET_CACHE_BYTES = 8 << 20
-"""Default LRU byte budget for lazily materialized packed bitsets (8 MiB)."""
-
-
-@dataclass(frozen=True)
-class ArenaConfig:
-    """Tuning knobs for an arena-backed coverage store.
-
-    Attributes:
-        path: Arena file location. ``None`` creates an unlinked-on-close
-            temporary file — convenient for ``run --coverage-backend arena``
-            without a dedicated path, but such arenas cannot be reattached
-            after the process exits (checkpoints record the temp path and
-            fail loudly on resume; pass a real path for durable runs).
-        bitset_cache_bytes: LRU byte budget for packed bitsets materialized
-            on the ``top_by_overlap``/benefit fast paths. ``0`` disables the
-            bitset fast path entirely (merge intersections only).
-    """
-
-    path: Optional[str] = None
-    bitset_cache_bytes: int = DEFAULT_BITSET_CACHE_BYTES
-
-    def __post_init__(self) -> None:
-        if self.bitset_cache_bytes < 0:
-            raise ConfigurationError("bitset_cache_bytes must be non-negative")
-
 
 def _content_digest(values_digest: "hashlib._Hash", offsets: np.ndarray) -> str:
     """Hex digest committing to both columns (values incrementally hashed)."""
@@ -134,7 +106,12 @@ class CoverageArena:
     # -------------------------------------------------------------- lifecycle
     @classmethod
     def create(cls, path: Optional[str] = None) -> "CoverageArena":
-        """Create a fresh arena at ``path`` (or a temp file when ``None``)."""
+        """Create a fresh arena at ``path`` (or a temp file when ``None``).
+
+        A temp arena is unlinked on close, so it cannot be reattached after
+        the process exits: checkpoints record the temp path and fail loudly
+        on resume. Pass a real path for durable runs.
+        """
         owns_temp = path is None
         if path is None:
             handle, path = tempfile.mkstemp(prefix="repro-arena-", suffix=".bin")

@@ -21,9 +21,8 @@ with a single columnar layer:
   ``==`` against plain sets) keep working unchanged — while hot paths use the
   vectorized primitives ``intersect_count``, ``subtract``, ``union_into``,
   ``overlap_with`` and ``new_ids_given`` instead of per-id Python loops.
-* Dense coverages additionally cache a packed bitset (``numpy.packbits``), so
-  intersect counts between two dense views are a few ``bitwise_and`` +
-  popcount instructions per 64 sentences instead of a hash probe per id.
+  Intersections between two views are a ``searchsorted`` merge of the
+  smaller array into the larger; the sorted array is the only representation.
 
 Backends
 --------
@@ -35,11 +34,8 @@ The store supports two backends behind the same :class:`CoverageView` handle:
 * ``backend="arena"`` — interned arrays live in a memory-mapped
   :class:`~repro.index.arena.CoverageArena` file; ``view.ids`` is a
   **zero-copy mmap slice**, so the OS page cache decides which coverage
-  bytes are resident and corpora larger than RAM stay queryable. Packed
-  bitsets (the dense fast path) are materialized lazily into an LRU cache
-  bounded by :attr:`~repro.index.arena.ArenaConfig.bitset_cache_bytes`, so
-  resident memory stays O(cache budget) while ``top_by_overlap``/benefit
-  keep their columnar speed.
+  bytes are resident and corpora larger than RAM stay queryable. Only the
+  offsets column and the dedup digests stay on the heap.
 
 Migration notes
 ---------------
@@ -56,23 +52,18 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections import OrderedDict
 from collections.abc import Set as AbstractSet
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .arena import ArenaConfig, CoverageArena
+from .arena import CoverageArena
 
 IdsLike = Union["CoverageView", Iterable[int], np.ndarray]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int32)
 _EMPTY_IDS.setflags(write=False)
-
-# A view caches a packed bitset once its density over the store's universe
-# exceeds this fraction; below it, merge-style array intersections win.
-DENSE_BITSET_DENSITY = 1.0 / 64.0
 
 COVERAGE_BACKENDS = ("memory", "arena")
 
@@ -95,13 +86,6 @@ def _as_sorted_ids(ids: IdsLike) -> np.ndarray:
     return array
 
 
-def _popcount(bits: np.ndarray) -> int:
-    """Total number of set bits in a packed ``uint8`` array."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return int(np.bitwise_count(bits).sum())
-    return int(np.unpackbits(bits).sum())
-
-
 class CoverageView(AbstractSet):
     """Immutable handle over one interned coverage set.
 
@@ -114,7 +98,7 @@ class CoverageView(AbstractSet):
     difference.
     """
 
-    __slots__ = ("_ids", "_store", "_slot", "_hash", "_bits", "_bits_universe")
+    __slots__ = ("_ids", "_store", "_slot", "_hash")
 
     def __init__(
         self,
@@ -126,8 +110,6 @@ class CoverageView(AbstractSet):
         self._store = store
         self._slot = slot
         self._hash: Optional[int] = None
-        self._bits: Optional[np.ndarray] = None
-        self._bits_universe = -1
 
     # ------------------------------------------------------------- columnar
     @property
@@ -150,52 +132,13 @@ class CoverageView(AbstractSet):
         """This view's interning slot in its store (None for free views)."""
         return self._slot
 
-    def _packed_bits(self) -> Optional[np.ndarray]:
-        """Packed bitset over the store's universe, cached when dense enough.
-
-        Stores with a bitset byte budget (the arena backend) own the cache:
-        bitsets are materialized lazily and evicted LRU so resident memory
-        stays bounded. Budget-less stores keep the original per-view cache,
-        keyed to the universe size it was packed under: if the store's
-        universe has grown since (e.g. the index was extended and re-sealed),
-        the bitset is re-packed so two views always produce equal-length bit
-        arrays.
-        """
-        store = self._store
-        if store is None or not self._ids.size:
-            return None
-        if store.bitset_cache_budget is not None:
-            return store._packed_bits_for(self)
-        universe = store.universe_size
-        if self._bits is not None and self._bits_universe == universe:
-            return self._bits
-        if universe <= 0 or int(self._ids[-1]) >= universe:
-            return None
-        if self._ids.size < universe * DENSE_BITSET_DENSITY:
-            self._bits = None
-            return None
-        mask = np.zeros(universe, dtype=bool)
-        mask[self._ids] = True
-        self._bits = np.packbits(mask)
-        self._bits_universe = universe
-        return self._bits
-
     def intersect_count(self, other: IdsLike) -> int:
         """``|C ∩ other|`` without materializing the intersection."""
         if isinstance(other, np.ndarray) and other.dtype == np.bool_:
             return self.overlap_with(other)
-        if isinstance(other, CoverageView):
-            if other is self:
-                return self.count
-            mine, theirs = self._packed_bits(), other._packed_bits()
-            # Equal lengths only: views from different stores (e.g. a shared
-            # base and a tenant overlay) may pack against different universe
-            # sizes — fall back to the merge path rather than misalign bits.
-            if mine is not None and theirs is not None and mine.size == theirs.size:
-                return _popcount(np.bitwise_and(mine, theirs))
-            a, b = self._ids, other._ids
-        else:
-            a, b = self._ids, _as_sorted_ids(other)
+        if other is self:
+            return self.count
+        a, b = self._ids, _as_sorted_ids(other)
         if not a.size or not b.size:
             return 0
         if a.size > b.size:
@@ -307,21 +250,19 @@ class CoverageStore:
 
     Args:
         universe_size: Number of sentences (ids are ``0 .. universe_size-1``).
-            May be grown later with :meth:`ensure_universe`; the universe only
-            gates bitset acceleration, not correctness.
+            May be grown later with :meth:`ensure_universe`. The universe
+            sizes membership masks (:meth:`new_mask`); counts never depend
+            on it.
         backend: ``"memory"`` (heap arrays, the default) or ``"arena"``
             (arrays live in a memory-mapped :class:`CoverageArena` file and
             views are zero-copy mmap slices).
         path: Arena file location for ``backend="arena"``. An existing arena
-            file is reattached; a missing one is created. ``None`` defers to
-            ``arena_config.path`` (and ultimately to a temporary file).
-        arena_config: :class:`~repro.index.arena.ArenaConfig` tuning (bitset
-            cache budget, default path).
+            file is reattached; a missing one is created. ``None`` creates a
+            temporary file.
         create: Force a **fresh** arena, truncating any existing file at the
             path instead of attaching to it. Index builds pass this: adopting
             a stale arena's slots into a new build would inflate the universe
-            (silently disabling the bitset fast path) and grow the file
-            without bound across reruns.
+            and grow the file without bound across reruns.
     """
 
     def __init__(
@@ -329,7 +270,6 @@ class CoverageStore:
         universe_size: int = 0,
         backend: str = "memory",
         path: Optional[str] = None,
-        arena_config: Optional[ArenaConfig] = None,
         create: bool = False,
         _arena: Optional[CoverageArena] = None,
     ) -> None:
@@ -343,23 +283,13 @@ class CoverageStore:
         self._views: List[CoverageView] = []
         self._by_key: Dict[bytes, int] = {}
         self._arena: Optional[CoverageArena] = None
-        self._bitset_budget: Optional[int] = None
-        self._bitset_cache: "OrderedDict[int, Tuple[np.ndarray, int]]" = OrderedDict()
-        self._bitset_cache_bytes = 0
-        self._bitset_hits = 0
-        self._bitset_misses = 0
-        self._bitset_evictions = 0
         if backend == "arena":
-            config = arena_config or ArenaConfig()
-            self._bitset_budget = int(config.bitset_cache_bytes)
             if _arena is not None:
                 self._arena = _arena
+            elif not create and path is not None and os.path.exists(path):
+                self._arena = CoverageArena.open(path)
             else:
-                target = path if path is not None else config.path
-                if not create and target is not None and os.path.exists(target):
-                    self._arena = CoverageArena.open(target)
-                else:
-                    self._arena = CoverageArena.create(target)
+                self._arena = CoverageArena.create(path)
             self._adopt_arena_slots()
         self.empty = self.intern(())
 
@@ -426,31 +356,21 @@ class CoverageStore:
         return self._arena
 
     @property
-    def bitset_cache_budget(self) -> Optional[int]:
-        """LRU byte budget for packed bitsets (None = unbounded per-view)."""
-        return self._bitset_budget
-
-    @property
     def resident_coverage_bytes(self) -> int:
         """Heap bytes pinned by coverage data (excludes mmap'd columns).
 
         Memory backend: the interned arrays themselves. Arena backend: the
-        bitset LRU cache plus the offsets column — the values column lives in
-        the file and is only resident at the OS page cache's discretion.
+        offsets column — the values column lives in the file and is only
+        resident at the OS page cache's discretion.
         """
         if self._arena is not None:
-            return self._bitset_cache_bytes + (self.num_interned + 1) * 8
-        return self.bytes_interned + self._bitset_cache_bytes
+            return (self.num_interned + 1) * 8
+        return self.bytes_interned
 
     def ensure_universe(self, size: int) -> None:
         """Grow the universe to at least ``size`` sentences."""
         if size > self._universe:
             self._universe = int(size)
-            if self._bitset_budget is not None and self._bitset_cache:
-                # Budgeted bitsets are keyed to the universe they were packed
-                # under; a grown universe invalidates them all at once.
-                self._bitset_cache.clear()
-                self._bitset_cache_bytes = 0
 
     # ------------------------------------------------------------- interning
     def intern(self, ids: IdsLike) -> CoverageView:
@@ -560,64 +480,6 @@ class CoverageStore:
             mask[array] = True
         return mask
 
-    # ------------------------------------------------------ budgeted bitsets
-    def _packed_bits_for(self, view: CoverageView) -> Optional[np.ndarray]:
-        """Packed bitset for ``view`` under the LRU byte budget.
-
-        Returns None when the view is too sparse for the bitset fast path
-        (the caller falls back to merge intersections). A bitset larger than
-        the whole budget is computed but never cached, so one giant coverage
-        cannot pin the budget.
-        """
-        budget = self._bitset_budget
-        if budget is not None and budget <= 0:
-            return None
-        ids = view._ids
-        slot = view._slot
-        if slot is None or not ids.size:
-            return None
-        universe = self._universe
-        if universe <= 0 or int(ids[-1]) >= universe:
-            return None
-        if ids.size < universe * DENSE_BITSET_DENSITY:
-            return None
-        entry = self._bitset_cache.get(slot)
-        if entry is not None:
-            bits, packed_universe = entry
-            if packed_universe == universe:
-                self._bitset_cache.move_to_end(slot)
-                self._bitset_hits += 1
-                return bits
-            del self._bitset_cache[slot]
-            self._bitset_cache_bytes -= bits.nbytes
-        mask = np.zeros(universe, dtype=bool)
-        mask[ids] = True
-        bits = np.packbits(mask)
-        self._bitset_misses += 1
-        if budget is None or bits.nbytes <= budget:
-            self._bitset_cache[slot] = (bits, universe)
-            self._bitset_cache_bytes += bits.nbytes
-            while (
-                budget is not None
-                and self._bitset_cache_bytes > budget
-                and len(self._bitset_cache) > 1
-            ):
-                _, (evicted, _) = self._bitset_cache.popitem(last=False)
-                self._bitset_cache_bytes -= evicted.nbytes
-                self._bitset_evictions += 1
-        return bits
-
-    def bitset_cache_stats(self) -> Dict[str, float]:
-        """Budget, residency and hit-rate counters for the bitset cache."""
-        return {
-            "budget_bytes": float(self._bitset_budget or 0),
-            "cached_bytes": float(self._bitset_cache_bytes),
-            "cached_entries": float(len(self._bitset_cache)),
-            "hits": float(self._bitset_hits),
-            "misses": float(self._bitset_misses),
-            "evictions": float(self._bitset_evictions),
-        }
-
     # -------------------------------------------------------- state protocol
     def interned_views(self) -> list:
         """The interned views in insertion order (slot order for checkpoints)."""
@@ -629,17 +491,15 @@ class CoverageStore:
             self._arena.flush()
 
     def close(self) -> None:
-        """Release the backing arena and the bitset cache. Idempotent.
+        """Release the backing arena. Idempotent.
 
         Interned views stay readable (they hold their own reference to the
         arena's memory map), but the store stops pinning the mapping and the
         file handle — the half of the strict-unlink contract the store owns.
-        The memory backend only drops its bitset cache.
+        No-op for the memory backend.
         """
         if self._arena is not None:
             self._arena.close()
-        self._bitset_cache.clear()
-        self._bitset_cache_bytes = 0
 
     def detach_arena(self) -> None:
         """Release the arena mapping for a cross-process handoff (pre-fork).
@@ -657,10 +517,6 @@ class CoverageStore:
             # Dormant marker: any accidental read fails loudly (`None` has
             # no `.size`) instead of serving stale mapped bytes.
             view._ids = None
-            view._bits = None
-            view._bits_universe = -1
-        self._bitset_cache.clear()
-        self._bitset_cache_bytes = 0
 
     def reattach_arena(self) -> None:
         """Re-map the arena by path and rebind every view (post-spawn half).
@@ -739,12 +595,7 @@ class CoverageStore:
         }
 
     @classmethod
-    def from_state(
-        cls,
-        state: Dict[str, object],
-        bundle,
-        arena_config: Optional[ArenaConfig] = None,
-    ) -> "CoverageStore":
+    def from_state(cls, state: Dict[str, object], bundle) -> "CoverageStore":
         """Rebuild a store from :meth:`to_state` output.
 
         Arena references are reattached in place (the file is opened and its
@@ -756,18 +607,14 @@ class CoverageStore:
 
         Args:
             state: :meth:`to_state` output.
-            bundle: Array source for inline states.
-            arena_config: Runtime arena tuning (bitset cache budget) applied
-                when reattaching; the arena *path* always comes from the
-                state reference, not the config.
+            bundle: Array source for inline states. Arena states need none:
+                the arena path always comes from the state reference.
         """
         backend = state.get("backend", "memory")
         if backend == "overlay":
             from .overlay import OverlayCoverageStore
 
-            return OverlayCoverageStore.from_state(
-                state, bundle, arena_config=arena_config
-            )
+            return OverlayCoverageStore.from_state(state, bundle)
         if backend == "arena":
             reference = state.get("arena")
             if not isinstance(reference, dict) or not reference.get("path"):
@@ -782,7 +629,6 @@ class CoverageStore:
             store = cls(
                 universe_size=int(state.get("universe_size", 0)),
                 backend="arena",
-                arena_config=arena_config,
                 _arena=arena,
             )
             recorded = state.get("num_interned")
@@ -824,17 +670,12 @@ class CoverageStore:
 
     def stats(self) -> Dict[str, float]:
         """Summary statistics for diagnostics and benchmarks."""
-        stats = {
+        return {
             "universe_size": float(self._universe),
             "num_interned": float(self.num_interned),
             "bytes_interned": float(self.bytes_interned),
             "resident_coverage_bytes": float(self.resident_coverage_bytes),
         }
-        if self._arena is not None:
-            stats.update(
-                {f"bitset_{k}": v for k, v in self.bitset_cache_stats().items()}
-            )
-        return stats
 
     def __repr__(self) -> str:
         return (

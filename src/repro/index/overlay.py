@@ -17,7 +17,7 @@ ids ``0 .. base_count-1``, and tenant-local interns are numbered from
 first — a coverage already interned in the shared columns resolves to the
 *shared* view (same object every tenant sees, zero copies) — and only
 genuinely new coverages land in the tenant's side store. The shared
-bitsets/CSR columns are therefore never copied, and nothing a tenant interns
+CSR columns are therefore never copied, and nothing a tenant interns
 can perturb another tenant's views or the shared columns (enforced by the
 read-only arena attach underneath, and property-tested in
 ``tests/test_serving.py``).
@@ -110,18 +110,13 @@ class OverlayCoverageStore(CoverageStore):
 
     @property
     def resident_coverage_bytes(self) -> int:
-        """This tenant's *marginal* heap residency: local arrays + bitsets.
+        """This tenant's *marginal* heap residency: the local arrays.
 
-        Overlay stores have no bitset byte budget, so dense local views cache
-        their packed bitset per view (the memory-backend path) — those bytes
-        are counted here too. The shared base's residency is deliberately
-        excluded: it exists once per pool, not once per tenant, and is
-        accounted by :meth:`repro.serving.TenantPool.memory_stats`.
+        The shared base's residency is deliberately excluded: it exists once
+        per pool, not once per tenant, and is accounted by
+        :meth:`repro.serving.TenantPool.memory_stats`.
         """
-        per_view_bits = sum(
-            view._bits.nbytes for view in self._views if view._bits is not None
-        )
-        return self.overlay_bytes + self._bitset_cache_bytes + per_view_bits
+        return self.overlay_bytes
 
     def interned_views(self) -> list:
         """Base views (slots ``< base_count``) then local views, slot order."""
@@ -193,16 +188,6 @@ class OverlayCoverageStore(CoverageStore):
     def flush(self) -> None:
         """No-op: the base is read-only and the overlay lives on the heap."""
 
-    def close(self) -> None:
-        """Drop the tenant-local bitset caches (budgeted and per-view). The
-        shared base is untouched — its lifetime belongs to the pool, not to
-        any one tenant."""
-        self._bitset_cache.clear()
-        self._bitset_cache_bytes = 0
-        for view in self._views:
-            view._bits = None
-            view._bits_universe = -1
-
     # -------------------------------------------------------- state protocol
     def to_state(self, bundle, prefix: str = "coverage/") -> Dict[str, object]:
         """Serialize as a base *reference* plus inline tenant-local columns.
@@ -236,7 +221,7 @@ class OverlayCoverageStore(CoverageStore):
 
     @classmethod
     def from_state(
-        cls, state: Dict[str, object], bundle, arena_config=None
+        cls, state: Dict[str, object], bundle
     ) -> "OverlayCoverageStore":
         """Rebuild an overlay from :meth:`to_state` output.
 
@@ -257,9 +242,7 @@ class OverlayCoverageStore(CoverageStore):
             raise ConfigurationError(
                 "overlay coverage state records no base store"
             )
-        base = CoverageStore.from_state(
-            base_state, bundle, arena_config=arena_config
-        )
+        base = CoverageStore.from_state(base_state, bundle)
         return cls.from_state_over(base, state, bundle)
 
     @classmethod

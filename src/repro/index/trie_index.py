@@ -39,7 +39,7 @@ from ..errors import CorpusIndexError
 from ..grammars.base import Expression, HeuristicGrammar
 from ..rules.heuristic import LabelingHeuristic
 from ..text.corpus import Corpus
-from .arena import ArenaConfig, CoverageArena
+from .arena import CoverageArena
 from .coverage import CoverageStore, CoverageView
 from .nodetable import NodeTable, lexicographic_ranks
 from .sketch import DerivationSketch, SketchKey, build_sketch
@@ -83,14 +83,7 @@ def _build_chunk_arena(job) -> Tuple[List[Tuple[SketchKey, int, int]], int]:
     index = CorpusIndex(grammars, max_depth=max_depth, min_coverage=1)
     for sentence in sentences:
         index.add_sketch(build_sketch(sentence, grammars, max_depth))
-    store = CoverageStore(
-        backend="arena",
-        path=shard_path,
-        # Shards are write-only scratch: no query runs against them, so the
-        # bitset fast path would be thrown-away work.
-        arena_config=ArenaConfig(bitset_cache_bytes=0),
-        create=True,
-    )
+    store = CoverageStore(backend="arena", path=shard_path, create=True)
     nodes = list(index.nodes.values())  # root included: the driver unions it
     views = store.intern_many([node.sentence_ids for node in nodes])
     records = [
@@ -146,8 +139,8 @@ class CorpusIndex:
         coverage_backend: ``"memory"`` (default) or ``"arena"`` — where the
             interned coverage columns live (see
             :class:`~repro.index.coverage.CoverageStore`).
-        arena_config: :class:`~repro.index.arena.ArenaConfig` for the arena
-            backend (file path, bitset cache budget).
+        arena_path: Arena file location for the arena backend (``None``
+            creates a temporary file).
     """
 
     def __init__(
@@ -156,7 +149,7 @@ class CorpusIndex:
         max_depth: int = 10,
         min_coverage: int = 1,
         coverage_backend: str = "memory",
-        arena_config: Optional[ArenaConfig] = None,
+        arena_path: Optional[str] = None,
     ) -> None:
         if not grammars:
             raise CorpusIndexError("at least one grammar is required")
@@ -167,12 +160,11 @@ class CorpusIndex:
         self.max_depth = max_depth
         self.min_coverage = min_coverage
         self.coverage_backend = coverage_backend
-        self.arena_config = arena_config
         # create=True: a build always starts from an empty arena, truncating
         # any stale file at the path (reattach is the checkpoint-restore
         # path, via CoverageStore.from_state, never a fresh build).
         self.store = CoverageStore(
-            backend=coverage_backend, arena_config=arena_config, create=True
+            backend=coverage_backend, path=arena_path, create=True
         )
         self.nodes: Dict[SketchKey, IndexNode] = {
             ROOT_KEY: IndexNode(key=ROOT_KEY, depth=0)
@@ -207,7 +199,7 @@ class CorpusIndex:
         max_depth: int = 10,
         min_coverage: int = 1,
         coverage_backend: str = "memory",
-        arena_config: Optional[ArenaConfig] = None,
+        arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
         """Build the index for ``corpus`` by merging per-sentence sketches."""
         index = cls(
@@ -215,7 +207,7 @@ class CorpusIndex:
             max_depth=max_depth,
             min_coverage=min_coverage,
             coverage_backend=coverage_backend,
-            arena_config=arena_config,
+            arena_path=arena_path,
         )
         for sentence in corpus:
             sketch = build_sketch(sentence, grammars, max_depth)
@@ -250,7 +242,7 @@ class CorpusIndex:
         min_coverage: int = 1,
         num_chunks: int = 4,
         coverage_backend: str = "memory",
-        arena_config: Optional[ArenaConfig] = None,
+        arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
         """Build the index over ``num_chunks`` corpus shards in parallel.
 
@@ -280,7 +272,7 @@ class CorpusIndex:
                 max_depth=max_depth,
                 min_coverage=min_coverage,
                 coverage_backend=coverage_backend,
-                arena_config=arena_config,
+                arena_path=arena_path,
             )
         bounds = np.linspace(0, len(sentences), num_chunks + 1).astype(int)
         shards = [
@@ -294,7 +286,7 @@ class CorpusIndex:
                 grammars,
                 max_depth=max_depth,
                 min_coverage=min_coverage,
-                arena_config=arena_config,
+                arena_path=arena_path,
             )
         jobs = [(shard, list(grammars), max_depth) for shard in shards]
         try:
@@ -322,7 +314,7 @@ class CorpusIndex:
         grammars: Sequence[HeuristicGrammar],
         max_depth: int,
         min_coverage: int,
-        arena_config: Optional[ArenaConfig],
+        arena_path: Optional[str],
     ) -> "CorpusIndex":
         """Arena-backed chunked build: shard arenas → one merged arena.
 
@@ -354,7 +346,7 @@ class CorpusIndex:
                 max_depth=max_depth,
                 min_coverage=min_coverage,
                 coverage_backend="arena",
-                arena_config=arena_config,
+                arena_path=arena_path,
             )
             store = index.store
             shard_arenas = [CoverageArena.open(job[3]) for job in jobs]
@@ -968,7 +960,6 @@ class CorpusIndex:
         state: Dict[str, object],
         bundle,
         grammars: Sequence[HeuristicGrammar],
-        arena_config: Optional[ArenaConfig] = None,
     ) -> "CorpusIndex":
         """Rebuild a sealed index from :meth:`to_state` output.
 
@@ -977,19 +968,15 @@ class CorpusIndex:
             bundle: Array source (:class:`repro.engine.state.ArrayBundle`).
             grammars: Grammar instances matching the serialized grammar names
                 (built by the engine from its config before the index loads).
-            arena_config: Runtime arena tuning for arena-backed stores (the
-                arena path itself comes from the state's arena reference).
+                Arena-backed stores reattach the file the state references.
         """
         index = cls(
             grammars,
             max_depth=int(state["max_depth"]),
             min_coverage=int(state["min_coverage"]),
         )
-        index.store = CoverageStore.from_state(
-            state["store"], bundle, arena_config=arena_config
-        )
+        index.store = CoverageStore.from_state(state["store"], bundle)
         index.coverage_backend = index.store.backend
-        index.arena_config = arena_config if index.store.backend == "arena" else None
         views = index.store.interned_views()
         index._num_sentences = int(state["num_sentences"])
         for record in state["nodes"]:

@@ -480,17 +480,14 @@ def summarize_snapshot(snapshot: Optional[Dict[str, object]]) -> Dict[str, objec
         }
     if phases:
         summary["phases"] = phases
-    for block, hits_name, misses_name in (
-        ("feature_cache", "feature_cache_hits", "feature_cache_misses"),
-        ("bitset_cache", "coverage_bitset_hits", "coverage_bitset_misses"),
-    ):
-        hits, misses = _total(hits_name), _total(misses_name)
-        if hits or misses:
-            summary[block] = {
-                "hits": hits,
-                "misses": misses,
-                "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
-            }
+    hits = _total("feature_cache_hits")
+    misses = _total("feature_cache_misses")
+    if hits or misses:
+        summary["feature_cache"] = {
+            "hits": hits,
+            "misses": misses,
+            "hit_ratio": hits / (hits + misses),
+        }
     commits = _series("crowd_commits_total")
     if commits:
         summary["crowd_commits"] = {

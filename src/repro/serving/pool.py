@@ -33,7 +33,6 @@ from ..classifier.features import SentenceFeaturizer, SharedFeatureCache
 from ..config import CrowdConfig, DarwinConfig, DEFAULT_CONFIG
 from ..engine.engine import DarwinEngine
 from ..errors import ConfigurationError
-from ..index.arena import ArenaConfig
 from ..index.overlay import OverlayCoverageStore
 from ..index.trie_index import CorpusIndex
 from ..obs import get_registry
@@ -155,12 +154,11 @@ class Tenant:
         return self.engine.save(path)
 
     def resident_bytes(self) -> int:
-        """The tenant's marginal heap bytes: overlay columns + local bitsets."""
+        """The tenant's marginal heap bytes: its overlay columns."""
         return self.store.resident_coverage_bytes
 
     def close(self) -> None:
-        """Release the tenant's overlay caches and drop its engine."""
-        self.store.close()
+        """Drop the tenant's engine and coordinator."""
         self.engine = None
         self._coordinator = None
 
@@ -208,19 +206,13 @@ class TenantPool:
 
         if index is None:
             index_config = self.config.index
-            arena_config = None
-            if index_config.coverage_backend == "arena":
-                arena_config = ArenaConfig(
-                    path=arena_path or index_config.arena_path,
-                    bitset_cache_bytes=index_config.bitset_cache_bytes,
-                )
             index = CorpusIndex.build(
                 corpus,
                 self._build_grammars(),
                 max_depth=self.config.max_sketch_depth,
                 min_coverage=self.config.min_coverage,
                 coverage_backend=index_config.coverage_backend,
-                arena_config=arena_config,
+                arena_path=arena_path or index_config.arena_path,
             )
         elif not index.sealed:
             index.seal()
@@ -439,7 +431,7 @@ class TenantPool:
     # ------------------------------------------------------------- accounting
     def shared_resident_bytes(self) -> int:
         """Heap bytes pinned by the substrate every tenant shares: the base
-        store's residency (bitset cache + offsets for arena pools, the full
+        store's residency (the offsets column for arena pools, the full
         columns for memory pools), the CSR inverted map, and the feature
         cache. Exists once per pool regardless of tenant count."""
         index = self.index

@@ -21,7 +21,7 @@ from repro.classifier.features import SentenceFeaturizer
 from repro.config import ClassifierConfig, DarwinConfig
 from repro.datasets import load_dataset
 from repro.grammars import TokensRegexGrammar, TreeMatchGrammar
-from repro.index import ArenaConfig, CorpusIndex
+from repro.index import CorpusIndex
 from repro.text import Corpus
 
 EXAMPLE1_TEXTS = [
@@ -120,7 +120,7 @@ def backend_directions_index(
     path = tmp_path_factory.mktemp("coverage-arena") / "directions.arena"
     return CorpusIndex.build(
         directions_corpus, [grammar], max_depth=10, min_coverage=2,
-        coverage_backend="arena", arena_config=ArenaConfig(path=str(path)),
+        coverage_backend="arena", arena_path=str(path),
     )
 
 

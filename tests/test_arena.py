@@ -2,9 +2,9 @@
 
 Covers the arena file format (create / append / reattach / corruption), the
 arena-backed :class:`CoverageStore` (zero-copy views, digest-verified
-checkpoint references, the ``num_interned``-vs-offsets validation bugfix,
-the LRU bitset byte budget), arena-backed index builds (serial and sharded
-parallel), and the engine checkpoint/resume path.
+checkpoint references, the ``num_interned``-vs-offsets validation bugfix),
+arena-backed index builds (serial and sharded parallel), and the engine
+checkpoint/resume path.
 """
 
 from __future__ import annotations
@@ -20,16 +20,13 @@ from repro.engine.engine import DarwinEngine
 from repro.engine.state import ArrayBundle
 from repro.errors import ConfigurationError
 from repro.grammars import TokensRegexGrammar
-from repro.index.arena import ArenaConfig, CoverageArena, HEADER_SIZE
+from repro.index.arena import CoverageArena, HEADER_SIZE
 from repro.index.coverage import CoverageStore
 from repro.index.trie_index import CorpusIndex
 
 
-def arena_store(tmp_path, name="store.arena", **kwargs):
-    return CoverageStore(
-        backend="arena", path=str(tmp_path / name),
-        arena_config=ArenaConfig(**kwargs) if kwargs else None,
-    )
+def arena_store(tmp_path, name="store.arena"):
+    return CoverageStore(backend="arena", path=str(tmp_path / name))
 
 
 class TestCoverageArenaFile:
@@ -223,32 +220,6 @@ class TestArenaStore:
         with pytest.raises(ConfigurationError, match="offsets"):
             CoverageStore.from_state(state, bad_bundle)
 
-    def test_bitset_cache_respects_byte_budget(self, tmp_path):
-        universe = 512
-        budget = 3 * (universe // 8)  # room for three packed bitsets
-        store = arena_store(tmp_path, bitset_cache_bytes=budget)
-        store.ensure_universe(universe)
-        views = [
-            store.intern(np.arange(start, universe, 2, dtype=np.int32))
-            for start in range(10)
-        ]
-        dense = store.intern(np.arange(universe, dtype=np.int32))
-        for view in views:
-            # Dense-vs-dense intersections route through the budgeted cache.
-            expected = len(set(view.ids.tolist()) & set(dense.ids.tolist()))
-            assert view.intersect_count(dense) == expected
-        stats = store.bitset_cache_stats()
-        assert stats["cached_bytes"] <= budget
-        assert stats["misses"] > 0
-
-    def test_bitset_cache_zero_budget_disables_fast_path(self, tmp_path):
-        store = arena_store(tmp_path, bitset_cache_bytes=0)
-        store.ensure_universe(256)
-        a = store.intern(np.arange(0, 256, 2, dtype=np.int32))
-        b = store.intern(np.arange(0, 256, 4, dtype=np.int32))
-        assert a.intersect_count(b) == 64
-        assert store.bitset_cache_stats()["cached_entries"] == 0
-
 
 class TestArenaStoreProperties:
     @given(
@@ -262,10 +233,7 @@ class TestArenaStoreProperties:
         """Arena-backed interning is view-for-view equal to in-memory."""
         tmp = tmp_path_factory.mktemp("arena-prop")
         memory = CoverageStore(universe_size=128)
-        arena = CoverageStore(
-            backend="arena", path=str(tmp / "prop.arena"),
-            arena_config=ArenaConfig(bitset_cache_bytes=1 << 16),
-        )
+        arena = CoverageStore(backend="arena", path=str(tmp / "prop.arena"))
         arena.ensure_universe(128)
         memory_views = [memory.intern(ids) for ids in coverages]
         arena_views = [arena.intern(ids) for ids in coverages]
@@ -294,7 +262,7 @@ class TestArenaIndex:
             directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
             max_depth=10, min_coverage=2,
             coverage_backend="arena",
-            arena_config=ArenaConfig(path=str(tmp_path / "serial.arena")),
+            arena_path=str(tmp_path / "serial.arena"),
         )
         assert arena.store.backend == "arena"
         assert set(memory.nodes) == set(arena.nodes)
@@ -310,8 +278,8 @@ class TestArenaIndex:
         self, tmp_path, example1_corpus, tokensregex
     ):
         # A fresh build must truncate a stale arena at the same path, not
-        # adopt its slots (which would inflate the universe and silently
-        # disable the bitset fast path) or grow the file across reruns.
+        # adopt its slots (which would inflate the universe) or grow the
+        # file across reruns.
         path = str(tmp_path / "reused.arena")
         stale = CoverageStore(backend="arena", path=path)
         stale.intern(np.arange(0, 200_000, 7, dtype=np.int32))
@@ -321,13 +289,13 @@ class TestArenaIndex:
 
         index = CorpusIndex.build(
             example1_corpus, [tokensregex], max_depth=6,
-            coverage_backend="arena", arena_config=ArenaConfig(path=path),
+            coverage_backend="arena", arena_path=path,
         )
         assert index.store.universe_size == len(example1_corpus)
         assert os.path.getsize(path) < first_size
         again = CorpusIndex.build(
             example1_corpus, [tokensregex], max_depth=6,
-            coverage_backend="arena", arena_config=ArenaConfig(path=path),
+            coverage_backend="arena", arena_path=path,
         )
         assert again.store.num_interned == index.store.num_interned
 
@@ -340,7 +308,7 @@ class TestArenaIndex:
             directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
             max_depth=10, min_coverage=2, num_chunks=3,
             coverage_backend="arena",
-            arena_config=ArenaConfig(path=str(tmp_path / "parallel.arena")),
+            arena_path=str(tmp_path / "parallel.arena"),
         )
         assert parallel.store.backend == "arena"
         assert set(serial.nodes) == set(parallel.nodes)
@@ -371,7 +339,6 @@ def engine_spec(tmp_path=None):
         spec["config"]["index"] = {
             "coverage_backend": "arena",
             "arena_path": str(tmp_path / "engine.arena"),
-            "bitset_cache_bytes": 1 << 20,
         }
     return spec
 

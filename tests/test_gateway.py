@@ -550,16 +550,6 @@ class TestGatewayApp:
         # Idempotent: a second call returns the same map without re-saving.
         assert app.finish_drain() == paths
 
-    def test_unknown_backend_rejected(self, gateway_pool, tmp_path):
-        app = GatewayApp(
-            gateway_pool,
-            GatewayConfig(
-                port=0, backend="twisted", checkpoint_dir=str(tmp_path / "c")
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="unknown gateway backend"):
-            build_server(app)
-
 
 # ---------------------------------------------------------------------- CLI
 class TestServeHttpCli:

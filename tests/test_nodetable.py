@@ -27,7 +27,7 @@ from repro.core.oracle import GroundTruthOracle
 from repro.datasets import load_dataset
 from repro.engine.state import ArrayBundle
 from repro.grammars import TokensRegexGrammar
-from repro.index import ArenaConfig, CorpusIndex, NodeTable, RuleHierarchy
+from repro.index import CorpusIndex, NodeTable, RuleHierarchy
 from repro.index.coverage import (
     CoverageStore,
     batched_new_counts,
@@ -218,7 +218,6 @@ class TestBatchedCoverageKernels:
             store = CoverageStore(
                 backend="arena",
                 path=str(tmp_path / "kernels.arena"),
-                arena_config=ArenaConfig(),
             )
         else:
             store = CoverageStore()
@@ -401,7 +400,6 @@ class TestHierarchyKernelEquivalence:
             store = CoverageStore(
                 backend="arena",
                 path=str(tmp_path / "cleanup.arena"),
-                arena_config=ArenaConfig(),
             )
         else:
             store = CoverageStore()
@@ -489,7 +487,6 @@ class TestBenefitPriming:
             store = CoverageStore(
                 backend="arena",
                 path=str(tmp_path / "benefit.arena"),
-                arena_config=ArenaConfig(),
             )
         else:
             store = CoverageStore()
@@ -551,7 +548,7 @@ def history_setup(request, coverage_backend, tmp_path_factory):
         path = tmp_path_factory.mktemp("history-arena") / f"{name}.arena"
         index = CorpusIndex.build(
             corpus, [grammar], max_depth=10, min_coverage=2,
-            coverage_backend="arena", arena_config=ArenaConfig(path=str(path)),
+            coverage_backend="arena", arena_path=str(path),
         )
     else:
         index = CorpusIndex.build(corpus, [grammar], max_depth=10, min_coverage=2)

@@ -27,7 +27,7 @@ from repro.config import ClassifierConfig, CrowdConfig, DarwinConfig, IndexConfi
 from repro.engine.engine import DarwinEngine
 from repro.engine.state import ArrayBundle
 from repro.errors import ConfigurationError
-from repro.index.arena import ArenaConfig, CoverageArena
+from repro.index.arena import CoverageArena
 from repro.index.coverage import CoverageStore
 from repro.index.overlay import OverlayCoverageStore
 from repro.serving import TenantPool, serve
@@ -55,10 +55,7 @@ def serving_config(tmp_path=None, budget=5, **overrides) -> DarwinConfig:
 @pytest.fixture()
 def shared_base(tmp_path) -> CoverageStore:
     """A small arena-backed base store, frozen read-only (the pool shape)."""
-    store = CoverageStore(
-        backend="arena", path=str(tmp_path / "base.arena"),
-        arena_config=ArenaConfig(bitset_cache_bytes=1 << 16),
-    )
+    store = CoverageStore(backend="arena", path=str(tmp_path / "base.arena"))
     store.intern([1, 2, 3])
     store.intern([5, 9])
     store.intern(np.arange(0, 64, 2, dtype=np.int32))
@@ -139,8 +136,8 @@ class TestOverlayStore:
             CoverageStore.from_state(state, bundle)
 
     def test_mixed_universe_intersections_stay_exact(self, shared_base):
-        # A tenant whose universe outgrew the base must not misalign packed
-        # bitsets against base views; the merge fallback keeps counts exact.
+        # A tenant whose universe outgrew the base still intersects exactly
+        # with dense base views: counts never depend on either universe.
         overlay = OverlayCoverageStore(shared_base)
         dense_base = shared_base.find(np.arange(0, 64, 2, dtype=np.int32))
         local = overlay.intern(np.arange(0, 300, 3, dtype=np.int32))
@@ -166,10 +163,7 @@ class TestOverlayInterleavingProperty:
         self, tmp_path_factory, ops
     ):
         tmp = tmp_path_factory.mktemp("overlay-prop")
-        base = CoverageStore(
-            backend="arena", path=str(tmp / "base.arena"),
-            arena_config=ArenaConfig(bitset_cache_bytes=1 << 16),
-        )
+        base = CoverageStore(backend="arena", path=str(tmp / "base.arena"))
         base.intern([1, 2, 3])
         base.intern(list(range(0, 100, 5)))
         base.flush()
