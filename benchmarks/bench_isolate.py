@@ -1,8 +1,8 @@
 """Fork-isolation helpers shared by the memory-measuring benchmarks.
 
-``bench_arena.py`` and ``bench_tenants.py`` both need each measurement arm to
-run in its own forked child so ``ru_maxrss`` reflects that arm alone; this
-module holds the one implementation of that protocol (fork + pipe, error
+``bench_tenants.py`` and ``bench_fleet.py`` need each measurement arm to run
+in its own forked child so ``ru_maxrss`` reflects that arm alone; this module
+holds the one implementation of that protocol (fork + pipe, error
 payloads surfaced to the parent, inline fallback for sandboxes without fork).
 """
 

@@ -47,26 +47,21 @@ SEED_RULE = "best way to get to"
 
 
 def _config(budget: int, arena_path: Optional[str]) -> DarwinConfig:
-    index = (
-        IndexConfig(coverage_backend="arena", arena_path=arena_path)
-        if arena_path is not None
-        else IndexConfig()
-    )
     return DarwinConfig(
         budget=budget,
         num_candidates=2000,
         min_coverage=2,
         classifier=ClassifierConfig(model="logistic", epochs=10, embedding_dim=30),
-        index=index,
+        index=IndexConfig(arena_path=arena_path),
     )
 
 
 def run_solo_arm(num_sentences: int, budget: int) -> Dict[str, object]:
-    """A plain single-user engine (memory backend): the history oracle.
+    """A plain single-user engine (temporary arena): the history oracle.
 
     Deliberately *not* a 1-tenant pool: tenant histories are compared against
     an engine with no pool machinery at all, so the equality also re-proves
-    memory==arena parity end to end.
+    that the arena's placement never changes a history.
     """
     corpus = load_dataset(
         "directions", num_sentences=num_sentences, seed=7, parse_trees=False

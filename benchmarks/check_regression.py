@@ -56,14 +56,6 @@ HEADLINES: Dict[str, Dict[str, List[Headline]]] = {
             ("equivalence.history_match", "true"),
         ],
     },
-    "bench_arena": {
-        "per_size": [
-            ("headline.per_question_ratio", "lower"),
-            ("headline.coverage_resident_ratio", "lower"),
-            ("headline.history_match", "true"),
-        ],
-        "top_level": [],
-    },
     "bench_tenants": {
         "per_size": [
             ("headline.shared_resident_ratio", "lower"),

@@ -90,15 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="N",
                             help="checkpoint after every N answered questions "
                                  "(requires --checkpoint)")
-    run_parser.add_argument("--coverage-backend", choices=("memory", "arena"),
-                            default="memory",
-                            help="where interned coverage columns live: the "
-                                 "heap, or a memory-mapped arena file for "
-                                 "larger-than-memory corpora")
     run_parser.add_argument("--arena-path", default=None, metavar="PATH",
-                            help="arena file for --coverage-backend arena "
-                                 "(default: a temporary file; pass a real "
-                                 "path to make checkpoints resumable)")
+                            help="memory-mapped coverage arena file (default: "
+                                 "a temporary file whose columns checkpoints "
+                                 "carry inline; a real path makes checkpoints "
+                                 "reference it)")
     run_parser.add_argument("--metrics-out", default=None, metavar="PATH",
                             help="enable repro.obs telemetry and write a "
                                  "metrics+spans snapshot JSON here at exit "
@@ -190,10 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--seed", type=int, default=7)
     serve_parser.add_argument("--epochs", type=int, default=40,
                               help="benefit-classifier training epochs")
-    serve_parser.add_argument("--coverage-backend", choices=("memory", "arena"),
-                              default="arena",
-                              help="shared coverage backend (arena maps one "
-                                   "read-only file across every tenant)")
     serve_parser.add_argument("--arena-path", default=None, metavar="PATH",
                               help="shared arena file (default: a temporary "
                                    "file for this serve run)")
@@ -245,14 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     http_parser.add_argument("--seed", type=int, default=7)
     http_parser.add_argument("--epochs", type=int, default=40,
                              help="benefit-classifier training epochs")
-    http_parser.add_argument("--coverage-backend", choices=("memory", "arena"),
-                             default="memory",
-                             help="shared coverage backend; checkpoints over "
-                                  "the memory backend are self-contained, "
-                                  "arena needs a durable --arena-path to "
-                                  "leave resumable drain checkpoints")
     http_parser.add_argument("--arena-path", default=None, metavar="PATH",
-                             help="shared arena file for the arena backend")
+                             help="shared coverage arena file (default: a "
+                                  "temporary file whose columns drain "
+                                  "checkpoints carry inline)")
     http_parser.add_argument("--host", default="127.0.0.1",
                              help="interface to bind (default: loopback only)")
     http_parser.add_argument("--port", type=int, default=8080,
@@ -373,16 +361,15 @@ def _command_run(args: argparse.Namespace) -> int:
         "config": {"budget": args.budget, "traversal": args.traversal,
                    "num_candidates": 1000, "oracle": "ground_truth",
                    "classifier": {"model": "logistic", "epochs": args.epochs},
-                   "index": {"coverage_backend": args.coverage_backend,
-                             "arena_path": args.arena_path}},
+                   "index": {"arena_path": args.arena_path}},
         "seeds": {"rule_texts": [seed_rule]},
     })
     corpus = engine.corpus
     print(f"dataset={args.dataset} sentences={len(corpus)} "
           f"positives={len(corpus.positive_ids())} seed rule={seed_rule!r}")
-    if args.coverage_backend == "arena":
+    if args.arena_path:
         arena = engine.darwin.index.store.arena
-        print(f"coverage backend: arena at {arena.path} "
+        print(f"coverage arena: {arena.path} "
               f"({arena.values_bytes} column bytes on disk)")
     result = engine.run(
         checkpoint_every=args.checkpoint_every,
@@ -523,8 +510,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         budget=args.budget,
         num_candidates=1000,
         classifier=ClassifierConfig(epochs=args.epochs),
-        index=IndexConfig(coverage_backend=args.coverage_backend,
-                          arena_path=args.arena_path),
+        index=IndexConfig(arena_path=args.arena_path),
     )
     crowd_config = CrowdConfig(
         num_annotators=args.annotators,
@@ -546,9 +532,8 @@ def _command_serve(args: argparse.Namespace) -> int:
                                   "seed": args.seed, "parse_trees": False}},
     ) as pool:
         arena = pool.index.store.arena
-        if arena is not None:
-            print(f"shared arena: {arena.path} ({arena.values_bytes} column "
-                  f"bytes, read-only, digest {pool.arena_digest[:16]}…)")
+        print(f"shared arena: {arena.path} ({arena.values_bytes} column "
+              f"bytes, read-only, digest {pool.arena_digest[:16]}…)")
         print(f"serving {args.tenants} tenants × {args.annotators} annotators "
               f"(redundancy={args.redundancy}, batch_size={args.batch_size})")
         report = serve(pool, num_tenants=args.tenants, crowd_config=crowd_config)
@@ -612,7 +597,7 @@ def _command_serve_http(args: argparse.Namespace) -> int:
         authenticator = TokenAuthenticator.from_file(
             gateway_config.auth_tokens_path
         )
-        if args.coverage_backend == "arena" and args.arena_path:
+        if args.arena_path:
             parent = os.path.dirname(os.path.abspath(args.arena_path))
             if not os.path.isdir(parent):
                 raise ReproError(
@@ -626,8 +611,7 @@ def _command_serve_http(args: argparse.Namespace) -> int:
             budget=args.budget,
             num_candidates=1000,
             classifier=ClassifierConfig(epochs=args.epochs),
-            index=IndexConfig(coverage_backend=args.coverage_backend,
-                              arena_path=args.arena_path),
+            index=IndexConfig(arena_path=args.arena_path),
         )
         crowd_config = CrowdConfig(
             num_annotators=args.annotators,

@@ -106,27 +106,21 @@ class ClassifierConfig:
 class IndexConfig:
     """Configuration of the corpus index's coverage storage.
 
+    The interned coverage arrays always live in a memory-mapped
+    :class:`~repro.index.arena.CoverageArena` file, so corpora whose coverage
+    columns exceed RAM stay queryable through ``CoverageView`` handles.
+
     Attributes:
-        coverage_backend: ``"memory"`` (interned coverage arrays on the heap,
-            the default) or ``"arena"`` (arrays spilled to a memory-mapped
-            :class:`~repro.index.arena.CoverageArena` file, so corpora whose
-            coverage columns exceed RAM stay queryable through unchanged
-            ``CoverageView`` handles).
-        arena_path: Arena file location for the arena backend. ``None`` uses
-            an unlinked-on-exit temporary file — fine for one-shot runs, but
-            checkpoints taken over a temp arena cannot be resumed after the
-            process exits; pass a real path for durable runs.
+        arena_path: Arena file location. ``None`` uses an unlinked-on-close
+            temporary file; checkpoints then carry the coverage columns
+            inline, so they resume in any process. A real path makes
+            checkpoints small references (path + content digest) to that
+            file, which must still exist, unmodified, at resume time.
     """
 
-    coverage_backend: str = "memory"
     arena_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.coverage_backend not in ("memory", "arena"):
-            raise ConfigurationError(
-                f"unknown coverage_backend: {self.coverage_backend!r} "
-                f"(expected 'memory' or 'arena')"
-            )
         if self.arena_path is not None and not isinstance(self.arena_path, str):
             raise ConfigurationError("arena_path must be a string path or None")
 

@@ -181,15 +181,13 @@ class Darwin:
         if index is not None:
             self.index = index
         else:
-            index_config = self.config.index
             with self._phase("index_build"):
                 self.index = CorpusIndex.build(
                     corpus,
                     self.grammars,
                     max_depth=self.config.max_sketch_depth,
                     min_coverage=self.config.min_coverage,
-                    coverage_backend=index_config.coverage_backend,
-                    arena_path=index_config.arena_path,
+                    arena_path=self.config.index.arena_path,
                 )
         if featurizer is not None:
             self.featurizer = featurizer

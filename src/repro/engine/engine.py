@@ -540,6 +540,7 @@ class DarwinEngine:
         manifest, inventory = read_checkpoint_summary(path)
         darwin_state = manifest.get("darwin", {})
         index_state = manifest.get("index", {})
+        store_state = index_state.get("store", {})
         summary = {
             "kind": manifest.get("kind"),
             "schema_version": manifest.get("schema_version"),
@@ -558,13 +559,15 @@ class DarwinEngine:
             "traversal": darwin_state.get("traversal", {}).get("kind"),
             "index_nodes": len(index_state.get("nodes", [])),
             "num_sentences": index_state.get("num_sentences"),
-            "coverage_backend": index_state.get("store", {}).get(
-                "backend", "memory"
-            ),
+            # "overlay" (a tenant checkpoint), "reference" (the coverage
+            # columns stay in a durable arena file) or "inline" (they are
+            # arrays in this checkpoint, listed under index/store/).
+            "coverage_checkpoint": store_state.get("backend")
+            or ("reference" if "arena" in store_state else "inline"),
             # Overlay stores (tenant checkpoints) keep their arena reference
             # one level down, on the shared base they point at.
-            "arena": index_state.get("store", {}).get("arena")
-            or index_state.get("store", {}).get("base", {}).get("arena"),
+            "arena": store_state.get("arena")
+            or store_state.get("base", {}).get("arena"),
             # Digest of the embedded telemetry snapshot (questions asked,
             # retrains, phase latency, cache hit ratios); {} when the
             # checkpoint was saved with metrics disabled.

@@ -47,10 +47,9 @@ class FleetSupervisor:
 
     Args:
         corpus: The corpus every tenant labels.
-        config: Per-tenant run configuration. The fleet requires the arena
-            coverage backend (the shared file is the cross-process contract);
-            a memory-backend config is upgraded in place, defaulting the
-            arena file into the fleet workdir.
+        config: Per-tenant run configuration. The shared arena file is the
+            cross-process contract, so a config without an ``arena_path``
+            gets one in the fleet workdir.
         fleet: Fleet topology and process parameters.
         crowd_config: Crowd parameters for every tenant's coordinator.
         seeds: Default seeds for spawned tenants.
@@ -88,14 +87,10 @@ class FleetSupervisor:
         )
         os.makedirs(self.workdir, exist_ok=True)
         config = config or DarwinConfig()
-        if (
-            config.index.coverage_backend != "arena"
-            or not config.index.arena_path
-        ):
+        if not config.index.arena_path:
             config = config.with_overrides(
                 index=IndexConfig(
-                    coverage_backend="arena",
-                    arena_path=os.path.join(self.workdir, "fleet.arena"),
+                    arena_path=os.path.join(self.workdir, "fleet.arena")
                 )
             )
         self.config = config
@@ -136,7 +131,6 @@ class FleetSupervisor:
             grammars,
             max_depth=self.config.max_sketch_depth,
             min_coverage=self.config.min_coverage,
-            coverage_backend="arena",
             arena_path=self.config.index.arena_path,
         )
         index.store.flush()

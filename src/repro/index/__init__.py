@@ -1,6 +1,6 @@
 """Corpus indexing: derivation sketches, the merged corpus index, hierarchies,
-and the columnar coverage store backing all of them (with an optional
-memory-mapped arena backend for larger-than-memory coverage columns)."""
+and the columnar coverage store backing all of them (its columns live in a
+memory-mapped arena, so larger-than-memory coverage stays queryable)."""
 
 from .arena import CoverageArena
 from .coverage import (

@@ -108,9 +108,9 @@ class CoverageArena:
     def create(cls, path: Optional[str] = None) -> "CoverageArena":
         """Create a fresh arena at ``path`` (or a temp file when ``None``).
 
-        A temp arena is unlinked on close, so it cannot be reattached after
-        the process exits: checkpoints record the temp path and fail loudly
-        on resume. Pass a real path for durable runs.
+        A temp arena is unlinked on close (or when garbage collected), so it
+        cannot be reattached after the process exits: checkpoints carry its
+        columns inline instead of referencing it (see :attr:`temporary`).
         """
         owns_temp = path is None
         if path is None:
@@ -266,7 +266,8 @@ class CoverageArena:
         reference to the memmap they were sliced from, so they stay readable;
         the arena merely stops pinning the mapping itself, which is what
         lets Windows-style strict-unlink filesystems delete the file once the
-        last view dies. Appends and fresh slices raise after close.
+        last view dies. Appends and fresh slices raise after close. A
+        :attr:`temporary` arena's file is unlinked.
         """
         file = self._file
         if file is not None and not file.closed:
@@ -277,6 +278,8 @@ class CoverageArena:
         # mmap — not the closed file handle — is what blocks strict-unlink.
         self._values_map = None
         self._mapped_values = 0
+        if self._temp_finalizer is not None:
+            self._temp_finalizer()
 
     @property
     def closed(self) -> bool:
@@ -287,6 +290,11 @@ class CoverageArena:
     def read_only(self) -> bool:
         """True when attached without write access (multi-tenant mode)."""
         return self._read_only
+
+    @property
+    def temporary(self) -> bool:
+        """True for an arena created without a path (a process-local file)."""
+        return self._temp_finalizer is not None
 
     def reopen_read_only(self) -> "CoverageArena":
         """Flush and swap the writable handle for a read-only one, in place.
@@ -394,6 +402,12 @@ class CoverageArena:
     def values_bytes(self) -> int:
         """On-disk size of the values column."""
         return self.num_values * VALUES_DTYPE.itemsize
+
+    def values_column(self) -> np.ndarray:
+        """The whole values column (zero-copy read-only mmap when non-empty)."""
+        if not self.num_values:
+            return np.empty(0, dtype=VALUES_DTYPE)
+        return self._ensure_map(self.num_values)[: self.num_values]
 
     def offsets_array(self) -> np.ndarray:
         """The offsets column as an ``int64`` array (copy, cheap)."""

@@ -24,18 +24,17 @@ with a single columnar layer:
   Intersections between two views are a ``searchsorted`` merge of the
   smaller array into the larger; the sorted array is the only representation.
 
-Backends
---------
+Storage
+-------
 
-The store supports two backends behind the same :class:`CoverageView` handle:
-
-* ``backend="memory"`` (default) — interned arrays live on the Python heap,
-  exactly as before.
-* ``backend="arena"`` — interned arrays live in a memory-mapped
-  :class:`~repro.index.arena.CoverageArena` file; ``view.ids`` is a
-  **zero-copy mmap slice**, so the OS page cache decides which coverage
-  bytes are resident and corpora larger than RAM stay queryable. Only the
-  offsets column and the dedup digests stay on the heap.
+Interned arrays live in a memory-mapped
+:class:`~repro.index.arena.CoverageArena` file; ``view.ids`` is a **zero-copy
+mmap slice**, so the OS page cache decides which coverage bytes are resident
+and corpora larger than RAM stay queryable. Only the offsets column and the
+dedup digests stay on the heap. The arena is the file the caller names, or an
+unlinked-on-close temporary file when none is given; checkpoints reference
+the former and carry the latter's columns inline (see
+:meth:`CoverageStore.to_state`).
 
 Migration notes
 ---------------
@@ -65,8 +64,6 @@ IdsLike = Union["CoverageView", Iterable[int], np.ndarray]
 _EMPTY_IDS = np.empty(0, dtype=np.int32)
 _EMPTY_IDS.setflags(write=False)
 
-COVERAGE_BACKENDS = ("memory", "arena")
-
 
 def _as_sorted_ids(ids: IdsLike) -> np.ndarray:
     """Normalize ``ids`` to a sorted, unique, read-only ``int32`` array."""
@@ -86,6 +83,18 @@ def _as_sorted_ids(ids: IdsLike) -> np.ndarray:
     return array
 
 
+def _coverage_key(array: np.ndarray) -> bytes:
+    """Dedup key for one normalized (sorted ``int32``) coverage array.
+
+    A 128-bit BLAKE2b digest of the array buffer, computed without copying
+    the column onto the heap, so the dedup map stays O(digest) per distinct
+    coverage instead of keeping every column resident.
+    """
+    return hashlib.blake2b(
+        np.ascontiguousarray(array, dtype=np.int32), digest_size=16
+    ).digest()
+
+
 class CoverageView(AbstractSet):
     """Immutable handle over one interned coverage set.
 
@@ -93,9 +102,9 @@ class CoverageView(AbstractSet):
     :class:`collections.abc.Set`, so comparisons and binary operators against
     plain sets work, and its hash equals ``frozenset``'s for the same ids)
     while exposing vectorized primitives for the hot paths. The backing id
-    array may live on the heap or be a zero-copy slice of a memory-mapped
-    :class:`~repro.index.arena.CoverageArena` — callers cannot tell the
-    difference.
+    array is a zero-copy slice of a memory-mapped
+    :class:`~repro.index.arena.CoverageArena` (or, for tenant-local overlay
+    interns, a heap array) — callers cannot tell the difference.
     """
 
     __slots__ = ("_ids", "_store", "_slot", "_hash")
@@ -253,12 +262,9 @@ class CoverageStore:
             May be grown later with :meth:`ensure_universe`. The universe
             sizes membership masks (:meth:`new_mask`); counts never depend
             on it.
-        backend: ``"memory"`` (heap arrays, the default) or ``"arena"``
-            (arrays live in a memory-mapped :class:`CoverageArena` file and
-            views are zero-copy mmap slices).
-        path: Arena file location for ``backend="arena"``. An existing arena
-            file is reattached; a missing one is created. ``None`` creates a
-            temporary file.
+        path: Arena file location. An existing arena file is reattached; a
+            missing one is created. ``None`` creates a temporary file that
+            is unlinked when the store is closed (or garbage collected).
         create: Force a **fresh** arena, truncating any existing file at the
             path instead of attaching to it. Index builds pass this: adopting
             a stale arena's slots into a new build would inflate the universe
@@ -268,29 +274,20 @@ class CoverageStore:
     def __init__(
         self,
         universe_size: int = 0,
-        backend: str = "memory",
         path: Optional[str] = None,
         create: bool = False,
         _arena: Optional[CoverageArena] = None,
     ) -> None:
-        if backend not in COVERAGE_BACKENDS:
-            raise ConfigurationError(
-                f"unknown coverage backend {backend!r}; expected one of "
-                f"{', '.join(COVERAGE_BACKENDS)}"
-            )
-        self.backend = backend
         self._universe = int(universe_size)
         self._views: List[CoverageView] = []
         self._by_key: Dict[bytes, int] = {}
-        self._arena: Optional[CoverageArena] = None
-        if backend == "arena":
-            if _arena is not None:
-                self._arena = _arena
-            elif not create and path is not None and os.path.exists(path):
-                self._arena = CoverageArena.open(path)
-            else:
-                self._arena = CoverageArena.create(path)
-            self._adopt_arena_slots()
+        if _arena is not None:
+            self._arena = _arena
+        elif not create and path is not None and os.path.exists(path):
+            self._arena = CoverageArena.open(path)
+        else:
+            self._arena = CoverageArena.create(path)
+        self._adopt_arena_slots()
         self.empty = self.intern(())
 
     def _adopt_arena_slots(self) -> None:
@@ -303,32 +300,16 @@ class CoverageStore:
         in :meth:`CoverageArena.open` just warmed.
         """
         arena = self._arena
-        assert arena is not None
         max_id = -1
         for slot in range(arena.num_interned):
             ids = arena.values_slice(slot)
             view = CoverageView(ids, store=self, slot=slot)
             self._views.append(view)
-            self._by_key.setdefault(self._key_of(ids), slot)
+            self._by_key.setdefault(_coverage_key(ids), slot)
             if ids.size:
                 max_id = max(max_id, int(ids[-1]))
         if max_id >= 0:
             self.ensure_universe(max_id + 1)
-
-    def _key_of(self, array: np.ndarray) -> bytes:
-        """Dedup key for one normalized (sorted ``int32``) coverage array.
-
-        The memory backend keys by the raw bytes themselves (exact). The
-        arena backend keys by a 128-bit BLAKE2b digest of the array buffer —
-        computed without copying the column onto the heap — so the dedup map
-        stays O(digest) per distinct coverage instead of keeping every
-        column resident, the whole point of spilling columns to the arena.
-        """
-        if self._arena is not None:
-            return hashlib.blake2b(
-                np.ascontiguousarray(array, dtype=np.int32), digest_size=16
-            ).digest()
-        return array.tobytes()
 
     # ----------------------------------------------------------------- admin
     @property
@@ -345,27 +326,24 @@ class CoverageStore:
     def bytes_interned(self) -> int:
         """Total bytes held by the interned id arrays.
 
-        For the arena backend this is the on-disk values column size; the
-        heap-resident footprint is :attr:`resident_coverage_bytes`.
+        This is the on-disk values column size; the heap-resident footprint
+        is :attr:`resident_coverage_bytes`.
         """
         return sum(view.ids.nbytes for view in self._views)
 
     @property
-    def arena(self) -> Optional[CoverageArena]:
-        """The backing arena (None for the memory backend)."""
+    def arena(self) -> CoverageArena:
+        """The backing arena."""
         return self._arena
 
     @property
     def resident_coverage_bytes(self) -> int:
-        """Heap bytes pinned by coverage data (excludes mmap'd columns).
+        """Heap bytes pinned by coverage data: the offsets column.
 
-        Memory backend: the interned arrays themselves. Arena backend: the
-        offsets column — the values column lives in the file and is only
-        resident at the OS page cache's discretion.
+        The values column lives in the arena file and is only resident at
+        the OS page cache's discretion.
         """
-        if self._arena is not None:
-            return (self.num_interned + 1) * 8
-        return self.bytes_interned
+        return (self.num_interned + 1) * 8
 
     def ensure_universe(self, size: int) -> None:
         """Grow the universe to at least ``size`` sentences."""
@@ -378,30 +356,27 @@ class CoverageStore:
         if isinstance(ids, CoverageView) and ids.store is self:
             return ids
         array = _as_sorted_ids(ids)
-        key = self._key_of(array)
+        key = _coverage_key(array)
         slot = self._by_key.get(key)
         if slot is not None:
             return self._views[slot]
         if array.size:
             self.ensure_universe(int(array[-1]) + 1)
-        if self._arena is not None:
-            new_slot = self._arena.append(array)
-            view = CoverageView(
-                self._arena.values_slice(new_slot), store=self, slot=new_slot
-            )
-        else:
-            view = CoverageView(array, store=self, slot=len(self._views))
+        new_slot = self._arena.append(array)
+        view = CoverageView(
+            self._arena.values_slice(new_slot), store=self, slot=new_slot
+        )
         self._by_key[key] = len(self._views)
         self._views.append(view)
         return view
 
     def intern_many(self, ids_list: Sequence[IdsLike]) -> List[CoverageView]:
-        """Intern several coverages with one backend write; returns views.
+        """Intern several coverages with one arena write; returns views.
 
-        On the arena backend all new coverages are appended as **one**
-        contiguous values segment (column concatenation, offsets rebased onto
-        the current extent) — this is what :meth:`CorpusIndex.seal` and the
-        parallel shard-arena merge call, keeping the number of file writes
+        All new coverages are appended as **one** contiguous values segment
+        (column concatenation, offsets rebased onto the current extent) —
+        this is what :meth:`CorpusIndex.seal`, the parallel shard-arena merge
+        and :meth:`from_state` call, keeping the number of file writes
         O(batches) instead of O(coverages).
         """
         resolved: List[Optional[CoverageView]] = []
@@ -414,7 +389,7 @@ class CoverageStore:
                 keys.append(None)
                 continue
             array = _as_sorted_ids(ids)
-            key = self._key_of(array)
+            key = _coverage_key(array)
             if key in self._by_key:
                 resolved.append(self._views[self._by_key[key]])
                 keys.append(None)
@@ -431,19 +406,13 @@ class CoverageStore:
             )
             if max_id >= 0:
                 self.ensure_universe(max_id + 1)
-            if self._arena is not None:
-                slots = self._arena.append_many(arrays)
-                for key, slot in zip(new_order, slots):
-                    view = CoverageView(
-                        self._arena.values_slice(slot), store=self, slot=slot
-                    )
-                    self._by_key[key] = len(self._views)
-                    self._views.append(view)
-            else:
-                for key, array in zip(new_order, arrays):
-                    view = CoverageView(array, store=self, slot=len(self._views))
-                    self._by_key[key] = len(self._views)
-                    self._views.append(view)
+            slots = self._arena.append_many(arrays)
+            for key, slot in zip(new_order, slots):
+                view = CoverageView(
+                    self._arena.values_slice(slot), store=self, slot=slot
+                )
+                self._by_key[key] = len(self._views)
+                self._views.append(view)
         return [
             view if view is not None else self._views[self._by_key[keys[i]]]
             for i, view in enumerate(resolved)
@@ -486,9 +455,8 @@ class CoverageStore:
         return list(self._views)
 
     def flush(self) -> None:
-        """Persist the backing arena (no-op for the memory backend)."""
-        if self._arena is not None:
-            self._arena.flush()
+        """Persist the backing arena."""
+        self._arena.flush()
 
     def close(self) -> None:
         """Release the backing arena. Idempotent.
@@ -496,10 +464,9 @@ class CoverageStore:
         Interned views stay readable (they hold their own reference to the
         arena's memory map), but the store stops pinning the mapping and the
         file handle — the half of the strict-unlink contract the store owns.
-        No-op for the memory backend.
+        A temporary arena's file is unlinked here.
         """
-        if self._arena is not None:
-            self._arena.close()
+        self._arena.close()
 
     def detach_arena(self) -> None:
         """Release the arena mapping for a cross-process handoff (pre-fork).
@@ -508,9 +475,9 @@ class CoverageStore:
         view to a dormant state, so nothing in this process — and nothing a
         forked child inherits — pins the parent's mmap. Coverage reads raise
         until :meth:`reattach_arena` runs (in the child, against a fresh
-        mapping of the same file). No-op for the memory backend.
+        mapping of the same file).
         """
-        if self._arena is None or self._arena.closed:
+        if self._arena.closed:
             return
         self._arena.detach()
         for view in self._views:
@@ -523,11 +490,8 @@ class CoverageStore:
 
         Each view's id array becomes a zero-copy slice of the *fresh*
         mapping, digest-verified by :meth:`CoverageArena.reattach` — the
-        worker-process counterpart of :meth:`detach_arena`. Idempotent; a
-        no-op for the memory backend.
+        worker-process counterpart of :meth:`detach_arena`. Idempotent.
         """
-        if self._arena is None:
-            return
         self._arena.reattach()
         for slot, view in enumerate(self._views):
             if view._ids is None:
@@ -541,57 +505,47 @@ class CoverageStore:
         """
         if isinstance(ids, CoverageView) and ids.store is self:
             return ids
-        array = _as_sorted_ids(ids)
-        slot = self._by_key.get(self._key_of(array))
+        slot = self._by_key.get(_coverage_key(_as_sorted_ids(ids)))
         return self._views[slot] if slot is not None else None
 
     def to_state(self, bundle, prefix: str = "coverage/") -> Dict[str, object]:
         """Serialize the interned coverages.
 
-        Memory backend: the distinct coverages are concatenated into a single
-        ``int32`` values array plus an ``int64`` offsets array (CSR layout);
-        slot ``i`` is ``values[offsets[i]:offsets[i+1]]``, in interning order,
-        so other layers can reference coverages by slot index.
+        An arena at a caller-given path is durable, so the state is a
+        **reference** — the arena path plus a content digest — instead of a
+        copy of the columns; :meth:`from_state` reattaches the file and
+        verifies the digest. The checkpoint stays O(manifest) no matter how
+        large the coverage columns are.
 
-        Arena backend: the columns already live in the arena file, so the
-        state is a **reference** — the arena path plus a content digest —
-        instead of a re-serialized copy; :meth:`from_state` reattaches the
-        file and verifies the digest. The checkpoint stays O(manifest) no
-        matter how large the coverage columns are.
+        A temporary arena is unlinked when its store closes, so the state
+        carries its columns **inline**: the arena's own ``int32`` values
+        column and ``int64`` offsets column (CSR layout; slot ``i`` is
+        ``values[offsets[i]:offsets[i+1]]``, in interning order), so other
+        layers can reference coverages by slot index.
 
         Args:
             bundle: :class:`repro.engine.state.ArrayBundle` receiving arrays.
             prefix: Namespace for the bundle keys.
         """
-        if self._arena is not None:
-            self._arena.flush()
+        arena = self._arena
+        arena.flush()
+        if arena.temporary:
             return {
                 "universe_size": int(self._universe),
                 "num_interned": self.num_interned,
-                "backend": "arena",
-                "arena": {
-                    "path": os.path.abspath(self._arena.path),
-                    "digest": self._arena.digest,
-                    "num_interned": self._arena.num_interned,
-                    "num_values": self._arena.num_values,
-                    "read_only": self._arena.read_only,
-                },
+                "values": bundle.put(prefix + "values", arena.values_column()),
+                "offsets": bundle.put(prefix + "offsets", arena.offsets_array()),
             }
-        views = self._views
-        offsets = np.zeros(len(views) + 1, dtype=np.int64)
-        for position, view in enumerate(views):
-            offsets[position + 1] = offsets[position] + view.ids.size
-        values = (
-            np.concatenate([view.ids for view in views])
-            if views and int(offsets[-1])
-            else np.empty(0, dtype=np.int32)
-        )
         return {
             "universe_size": int(self._universe),
-            "num_interned": len(views),
-            "backend": "memory",
-            "values": bundle.put(prefix + "values", values.astype(np.int32, copy=False)),
-            "offsets": bundle.put(prefix + "offsets", offsets),
+            "num_interned": self.num_interned,
+            "arena": {
+                "path": os.path.abspath(arena.path),
+                "digest": arena.digest,
+                "num_interned": arena.num_interned,
+                "num_values": arena.num_values,
+                "read_only": arena.read_only,
+            },
         }
 
     @classmethod
@@ -600,48 +554,40 @@ class CoverageStore:
 
         Arena references are reattached in place (the file is opened and its
         content digest verified — a missing, truncated, or modified arena
-        raises :class:`~repro.errors.ConfigurationError`); inline column
-        states are re-interned as before. Slot order is preserved either
-        way, so ``store.interned_views()[i]`` is the view serialized at slot
-        ``i``.
+        raises :class:`~repro.errors.ConfigurationError`); inline columns
+        are interned into a fresh temporary arena with one
+        :meth:`intern_many`. Slot order is preserved either way, so
+        ``store.interned_views()[i]`` is the view serialized at slot ``i``.
 
         Args:
             state: :meth:`to_state` output.
-            bundle: Array source for inline states. Arena states need none:
-                the arena path always comes from the state reference.
+            bundle: Array source for inline states. Arena references need
+                none: the arena path always comes from the state reference.
         """
-        backend = state.get("backend", "memory")
-        if backend == "overlay":
+        if state.get("backend") == "overlay":
             from .overlay import OverlayCoverageStore
 
             return OverlayCoverageStore.from_state(state, bundle)
-        if backend == "arena":
-            reference = state.get("arena")
+        universe_size = int(state.get("universe_size", 0))
+        recorded = state.get("num_interned")
+        if "arena" in state:
+            reference = state["arena"]
             if not isinstance(reference, dict) or not reference.get("path"):
                 raise ConfigurationError(
-                    "arena-backed coverage state records no arena reference"
+                    "coverage state records no usable arena reference"
                 )
             arena = CoverageArena.open(
                 str(reference["path"]),
                 expected_digest=reference.get("digest"),
                 read_only=bool(reference.get("read_only", False)),
             )
-            store = cls(
-                universe_size=int(state.get("universe_size", 0)),
-                backend="arena",
-                _arena=arena,
-            )
-            recorded = state.get("num_interned")
+            store = cls(universe_size=universe_size, _arena=arena)
             if recorded is not None and int(recorded) != store.num_interned:
                 raise ConfigurationError(
                     f"coverage state records num_interned={recorded} but the "
                     f"arena at {arena.path} holds {store.num_interned} slots"
                 )
             return store
-        if backend != "memory":
-            raise ConfigurationError(
-                f"unknown coverage state backend {backend!r}"
-            )
         values = np.asarray(bundle.get(state["values"]), dtype=np.int32)
         offsets = np.asarray(bundle.get(state["offsets"]), dtype=np.int64)
         if (
@@ -654,7 +600,6 @@ class CoverageStore:
                 "coverage state offsets column is inconsistent with its "
                 "values column"
             )
-        recorded = state.get("num_interned")
         if recorded is not None and int(recorded) != offsets.size - 1:
             # The offsets column is the ground truth for how many coverages
             # were serialized; trusting a disagreeing num_interned used to
@@ -663,9 +608,10 @@ class CoverageStore:
                 f"coverage state records num_interned={recorded} but its "
                 f"offsets column holds {offsets.size - 1} slots"
             )
-        store = cls(universe_size=int(state.get("universe_size", 0)))
-        for position in range(offsets.size - 1):
-            store.intern(values[offsets[position]:offsets[position + 1]])
+        store = cls(universe_size=universe_size)
+        store.intern_many(
+            [values[offsets[i]:offsets[i + 1]] for i in range(offsets.size - 1)]
+        )
         return store
 
     def stats(self) -> Dict[str, float]:
@@ -680,7 +626,7 @@ class CoverageStore:
     def __repr__(self) -> str:
         return (
             f"CoverageStore(universe={self._universe}, "
-            f"interned={self.num_interned}, backend={self.backend!r})"
+            f"interned={self.num_interned}, arena={self._arena.path!r})"
         )
 
 

@@ -5,7 +5,7 @@ The multi-tenant split of the Darwin loop is per-tenant *mutable* state
 *immutable* state (the index and its interned coverage columns). This module
 provides the coverage half of that split: :class:`OverlayCoverageStore` wraps
 a shared, read-only base :class:`~repro.index.coverage.CoverageStore` (in a
-:class:`~repro.serving.TenantPool`, one arena-backed store mapped by every
+:class:`~repro.serving.TenantPool`, one frozen arena store mapped by every
 tenant) and gives each tenant its own append-only side store.
 
 Id-space partitioning
@@ -25,11 +25,12 @@ read-only arena attach underneath, and property-tested in
 Checkpoints
 -----------
 
-:meth:`OverlayCoverageStore.to_state` serializes the overlay as a *reference*
-to the base (for an arena base, path + content digest — no column copy) plus
-the tenant-local columns inline, so a tenant checkpoint stays O(what the
-tenant itself added). :meth:`CoverageStore.from_state` dispatches
-``backend == "overlay"`` states back here.
+:meth:`OverlayCoverageStore.to_state` serializes the overlay as the base's
+own state (for a base arena at a durable path, a path + content digest
+reference — no column copy) plus the tenant-local columns inline, so a tenant
+checkpoint stays O(what the tenant itself added).
+:meth:`CoverageStore.from_state` dispatches ``backend == "overlay"`` states
+back here.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from .coverage import CoverageStore, CoverageView, IdsLike, _as_sorted_ids
+from .coverage import (
+    CoverageStore,
+    CoverageView,
+    IdsLike,
+    _as_sorted_ids,
+    _coverage_key,
+)
 
 
 class OverlayCoverageStore(CoverageStore):
@@ -48,10 +55,11 @@ class OverlayCoverageStore(CoverageStore):
     Behaves exactly like a :class:`CoverageStore` to callers (interning,
     masks, unions, the state protocol), but :meth:`intern` resolves against
     the shared base first and appends novel coverages to a tenant-local heap
-    side store. The base is never written.
+    side store. The base is never written, and the overlay opens no arena of
+    its own.
 
     Args:
-        base: The shared store (typically arena-backed and frozen read-only).
+        base: The shared store (typically frozen read-only).
             Must not itself be an overlay — one level of layering keeps the
             slot arithmetic trivially correct.
         universe_size: Optional larger universe for the tenant (the base's
@@ -70,12 +78,13 @@ class OverlayCoverageStore(CoverageStore):
         # resolved against the shared base vs. an existing local view vs.
         # appended a new local view. Plain ints — the coordinator drives each
         # tenant single-threaded, and the pool collector only reads them.
-        # Initialized before super().__init__, which interns the empty view.
         self._shared_routed = 0
         self._local_routed = 0
         self._local_interned = 0
-        super().__init__(universe_size=max(base.universe_size, int(universe_size)))
-        self.backend = "overlay"
+        self._universe = max(base.universe_size, int(universe_size))
+        self._views: List[CoverageView] = []
+        self._by_key: Dict[bytes, int] = {}
+        self.empty = self.intern(())
 
     # ----------------------------------------------------------------- layout
     @property
@@ -135,7 +144,7 @@ class OverlayCoverageStore(CoverageStore):
         shared = self._resolve_shared(array)
         if shared is not None:
             return shared
-        position = self._by_key.get(self._key_of(array))
+        position = self._by_key.get(_coverage_key(array))
         return self._views[position] if position is not None else None
 
     def _resolve_shared(self, array: np.ndarray) -> Optional[CoverageView]:
@@ -165,7 +174,7 @@ class OverlayCoverageStore(CoverageStore):
         if shared is not None:
             self._shared_routed += 1
             return shared
-        key = self._key_of(array)
+        key = _coverage_key(array)
         position = self._by_key.get(key)
         if position is not None:
             self._local_routed += 1
@@ -188,15 +197,19 @@ class OverlayCoverageStore(CoverageStore):
     def flush(self) -> None:
         """No-op: the base is read-only and the overlay lives on the heap."""
 
+    def close(self) -> None:
+        """No-op: the overlay owns no arena; the pool closes the base."""
+
     # -------------------------------------------------------- state protocol
     def to_state(self, bundle, prefix: str = "coverage/") -> Dict[str, object]:
-        """Serialize as a base *reference* plus inline tenant-local columns.
+        """Serialize as the base's state plus inline tenant-local columns.
 
-        For an arena base the reference is path + content digest (see
-        :meth:`CoverageStore.to_state`), so a tenant checkpoint never copies
-        the shared columns; a memory base is inlined as usual under the
-        ``base`` key. Local slots keep their order, so restored overlays are
-        slot-for-slot identical.
+        The base state sits under the ``base`` key (see
+        :meth:`CoverageStore.to_state`): for a base arena at a durable path
+        it is a path + content digest reference, so a tenant checkpoint never
+        copies the shared columns; a temporary base arena is inlined. Local
+        slots keep their order, so restored overlays are slot-for-slot
+        identical.
         """
         views = self._views
         offsets = np.zeros(len(views) + 1, dtype=np.int64)
@@ -274,7 +287,7 @@ class OverlayCoverageStore(CoverageStore):
                 f"{base.num_interned} slots"
             )
         base_state = state.get("base")
-        if isinstance(base_state, dict) and base.arena is not None:
+        if isinstance(base_state, dict):
             reference = base_state.get("arena")
             if isinstance(reference, dict):
                 digest = reference.get("digest")

@@ -51,46 +51,30 @@ CoverageIds = Union[Set[int], CoverageView]
 """A node's inverted list: a mutable set while building, a view once sealed."""
 
 
-def _build_chunk_index(job) -> "CorpusIndex":
-    """Worker for :meth:`CorpusIndex.build_parallel`: one unpruned chunk index.
-
-    Module-level so multiprocessing can pickle it. The shard is a plain
-    sentence list (``Corpus`` requires 0-based consecutive ids, which shards
-    don't have); sentence ids stay global, so shard indexes merge without
-    renumbering.
-    """
-    sentences, grammars, max_depth = job
-    index = CorpusIndex(grammars, max_depth=max_depth, min_coverage=1)
-    for sentence in sentences:
-        index.add_sketch(build_sketch(sentence, grammars, max_depth))
-    # Left unlinked and unsealed on purpose: the driver's merge loop re-links
-    # and seals exactly once at the end, so per-chunk finalization (interning
-    # + CSR build) would be thrown-away work.
-    return index
-
-
 def _build_chunk_arena(job) -> Tuple[List[Tuple[SketchKey, int, int]], int]:
-    """Worker for the arena-backed :meth:`CorpusIndex.build_parallel` path.
+    """Worker for :meth:`CorpusIndex.build_parallel`: one shard arena.
 
-    Sketches one corpus shard, interns every node's coverage into a
-    **shard arena** file at the given path, and returns a lightweight payload
-    — ``(key, depth, shard slot)`` per node plus the sentence count — instead
-    of pickling the whole chunk index back to the driver. The driver merges
-    the shard arenas into the final arena by column concatenation with
-    offset rebase (see :meth:`CorpusIndex.build_parallel`).
+    Module-level so multiprocessing can pickle it. Sketches one corpus shard
+    (a plain sentence list with global sentence ids, so shards merge without
+    renumbering) into an unpruned chunk index whose own store is the **shard
+    arena** at the given path, interns every node's coverage there, and
+    returns a lightweight payload — ``(key, depth, shard slot)`` per node
+    plus the sentence count — instead of pickling the whole chunk index back
+    to the driver. The driver merges the shard arenas into the final arena by
+    column concatenation with offset rebase.
     """
     sentences, grammars, max_depth, shard_path = job
-    index = CorpusIndex(grammars, max_depth=max_depth, min_coverage=1)
+    index = CorpusIndex(
+        grammars, max_depth=max_depth, min_coverage=1, arena_path=shard_path
+    )
     for sentence in sentences:
         index.add_sketch(build_sketch(sentence, grammars, max_depth))
-    store = CoverageStore(backend="arena", path=shard_path, create=True)
     nodes = list(index.nodes.values())  # root included: the driver unions it
-    views = store.intern_many([node.sentence_ids for node in nodes])
+    views = index.store.intern_many([node.sentence_ids for node in nodes])
     records = [
         (node.key, node.depth, view.slot) for node, view in zip(nodes, views)
     ]
-    store.flush()
-    store.arena.close()
+    index.store.close()
     return records, index._num_sentences
 
 
@@ -136,11 +120,10 @@ class CorpusIndex:
         max_depth: Sketch depth bound used at build time.
         min_coverage: Pruning threshold re-applied by :meth:`merge` so chunked
             construction matches a direct :meth:`build`.
-        coverage_backend: ``"memory"`` (default) or ``"arena"`` — where the
-            interned coverage columns live (see
-            :class:`~repro.index.coverage.CoverageStore`).
-        arena_path: Arena file location for the arena backend (``None``
-            creates a temporary file).
+        arena_path: Arena file for the interned coverage columns (see
+            :class:`~repro.index.coverage.CoverageStore`). ``None`` creates a
+            temporary file, whose columns checkpoints carry inline; a real
+            path makes checkpoints reference the file.
     """
 
     def __init__(
@@ -148,8 +131,8 @@ class CorpusIndex:
         grammars: Sequence[HeuristicGrammar],
         max_depth: int = 10,
         min_coverage: int = 1,
-        coverage_backend: str = "memory",
         arena_path: Optional[str] = None,
+        _store: Optional[CoverageStore] = None,
     ) -> None:
         if not grammars:
             raise CorpusIndexError("at least one grammar is required")
@@ -159,12 +142,12 @@ class CorpusIndex:
         self.grammars: Dict[str, HeuristicGrammar] = {g.name: g for g in grammars}
         self.max_depth = max_depth
         self.min_coverage = min_coverage
-        self.coverage_backend = coverage_backend
         # create=True: a build always starts from an empty arena, truncating
         # any stale file at the path (reattach is the checkpoint-restore
-        # path, via CoverageStore.from_state, never a fresh build).
-        self.store = CoverageStore(
-            backend=coverage_backend, path=arena_path, create=True
+        # path, which hands in the store restored by from_state).
+        self.store = (
+            _store if _store is not None
+            else CoverageStore(path=arena_path, create=True)
         )
         self.nodes: Dict[SketchKey, IndexNode] = {
             ROOT_KEY: IndexNode(key=ROOT_KEY, depth=0)
@@ -198,7 +181,6 @@ class CorpusIndex:
         grammars: Sequence[HeuristicGrammar],
         max_depth: int = 10,
         min_coverage: int = 1,
-        coverage_backend: str = "memory",
         arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
         """Build the index for ``corpus`` by merging per-sentence sketches."""
@@ -206,7 +188,6 @@ class CorpusIndex:
             grammars,
             max_depth=max_depth,
             min_coverage=min_coverage,
-            coverage_backend=coverage_backend,
             arena_path=arena_path,
         )
         for sentence in corpus:
@@ -241,24 +222,25 @@ class CorpusIndex:
         max_depth: int = 10,
         min_coverage: int = 1,
         num_chunks: int = 4,
-        coverage_backend: str = "memory",
         arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
         """Build the index over ``num_chunks`` corpus shards in parallel.
 
-        Each shard is sketched and merged into a chunk index by a worker
-        process (``min_coverage=1``, i.e. unpruned — per-chunk pruning would
-        lose keys that only clear the threshold globally; see :meth:`merge`),
-        the chunk indexes are merged on the driver, and the final pruning is
-        applied once, so the result is identical to a serial :meth:`build`.
+        Each shard is sketched by a worker process into an unpruned
+        (``min_coverage=1`` — per-chunk pruning would lose keys that only
+        clear the threshold globally; see :meth:`merge`) **shard arena**,
+        returning only ``(key, depth, slot)`` records. The driver folds the
+        shard arenas into the final arena by column concatenation with
+        offset rebase (keys unique to one shard, the common case for deep
+        keys, are bulk-copied as one contiguous segment per shard), interns
+        the union coverage for keys that appear in several shards, and
+        applies the final pruning once, so the result is identical to a
+        serial :meth:`build`. The shard files are deleted afterwards.
 
-        With ``coverage_backend="arena"`` each worker seals its shard into a
-        temporary **shard arena** and returns only ``(key, depth, slot)``
-        records; the driver folds the shard arenas into the final arena by
-        column concatenation with offset rebase (keys unique to one shard,
-        the common case for deep keys, are bulk-copied as one contiguous
-        segment per shard) and interns the union coverage for keys that
-        appear in several shards. The shard files are deleted afterwards.
+        Shard sentence-id ranges are consecutive and increasing (the shards
+        are corpus slices), so the union of a key's per-shard coverages is
+        the plain concatenation of its shard slices in shard order — already
+        sorted, no re-sort needed.
 
         Falls back to a serial build when ``num_chunks <= 1``, the corpus is
         smaller than the chunk count, or no worker pool can be started (e.g.
@@ -271,7 +253,6 @@ class CorpusIndex:
                 grammars,
                 max_depth=max_depth,
                 min_coverage=min_coverage,
-                coverage_backend=coverage_backend,
                 arena_path=arena_path,
             )
         bounds = np.linspace(0, len(sentences), num_chunks + 1).astype(int)
@@ -280,49 +261,6 @@ class CorpusIndex:
             for i in range(num_chunks)
             if bounds[i] < bounds[i + 1]
         ]
-        if coverage_backend == "arena":
-            return cls._build_parallel_arena(
-                shards,
-                grammars,
-                max_depth=max_depth,
-                min_coverage=min_coverage,
-                arena_path=arena_path,
-            )
-        jobs = [(shard, list(grammars), max_depth) for shard in shards]
-        try:
-            import multiprocessing
-
-            with multiprocessing.Pool(processes=min(len(jobs), os.cpu_count() or 1)) as pool:
-                chunk_indexes = pool.map(_build_chunk_index, jobs)
-        except (ImportError, OSError, PermissionError):
-            chunk_indexes = [_build_chunk_index(job) for job in jobs]
-        merged = chunk_indexes[0]
-        for chunk in chunk_indexes[1:]:
-            merged.merge(chunk, finalize=False)
-        merged.link_structure()
-        merged.min_coverage = min_coverage
-        if min_coverage > 1:
-            merged.prune(min_coverage)
-        merged._built = True
-        merged.seal()
-        return merged
-
-    @classmethod
-    def _build_parallel_arena(
-        cls,
-        shards: List[List],
-        grammars: Sequence[HeuristicGrammar],
-        max_depth: int,
-        min_coverage: int,
-        arena_path: Optional[str],
-    ) -> "CorpusIndex":
-        """Arena-backed chunked build: shard arenas → one merged arena.
-
-        Shard sentence-id ranges are consecutive and increasing (the shards
-        are corpus slices), so the union of a key's per-shard coverages is
-        the plain concatenation of its shard slices in shard order — already
-        sorted, no re-sort needed.
-        """
         scratch = tempfile.mkdtemp(prefix="repro-arena-shards-")
         shard_arenas: List[CoverageArena] = []
         try:
@@ -345,7 +283,6 @@ class CorpusIndex:
                 grammars,
                 max_depth=max_depth,
                 min_coverage=min_coverage,
-                coverage_backend="arena",
                 arena_path=arena_path,
             )
             store = index.store
@@ -419,7 +356,7 @@ class CorpusIndex:
                 arena.close()
             shutil.rmtree(scratch, ignore_errors=True)
 
-    def merge(self, other: "CorpusIndex", finalize: bool = True) -> "CorpusIndex":
+    def merge(self, other: "CorpusIndex") -> "CorpusIndex":
         """Merge another chunk index into this one (parallel construction).
 
         The merged index re-applies ``min_coverage`` pruning and is marked
@@ -434,13 +371,6 @@ class CorpusIndex:
 
         Args:
             other: The chunk index to union in.
-            finalize: Re-link, prune, and seal after merging (the default).
-                A caller folding many chunks together — see
-                :meth:`build_parallel` — passes ``False`` for the
-                intermediate merges and finalizes once at the end, since
-                per-merge linking and sealing over the growing index is
-                thrown-away work; the merged index is left unlinked and
-                unsealed until the caller finalizes it.
         """
         if set(self.grammars) != set(other.grammars):
             raise CorpusIndexError("cannot merge indexes over different grammars")
@@ -457,9 +387,6 @@ class CorpusIndex:
                 mine.sentence_ids.update(theirs)
         self._num_sentences += other._num_sentences
         self.min_coverage = max(self.min_coverage, other.min_coverage)
-        if not finalize:
-            self._built = False
-            return self
         self.link_structure()
         if self.min_coverage > 1:
             self.prune(self.min_coverage)
@@ -541,9 +468,9 @@ class CorpusIndex:
         if len(root.sentence_ids):
             max_id = max(int(i) for i in root.sentence_ids)
         store.ensure_universe(max(self._num_sentences, max_id + 1))
-        # One bulk intern: on the arena backend this appends every new
-        # coverage as a single contiguous values segment (one file write)
-        # instead of one write per node.
+        # One bulk intern: every new coverage is appended as a single
+        # contiguous values segment (one file write) instead of one write
+        # per node.
         pending = [
             node
             for node in self.nodes.values()
@@ -968,15 +895,14 @@ class CorpusIndex:
             bundle: Array source (:class:`repro.engine.state.ArrayBundle`).
             grammars: Grammar instances matching the serialized grammar names
                 (built by the engine from its config before the index loads).
-                Arena-backed stores reattach the file the state references.
+                Arena references reattach the file the state names.
         """
         index = cls(
             grammars,
             max_depth=int(state["max_depth"]),
             min_coverage=int(state["min_coverage"]),
+            _store=CoverageStore.from_state(state["store"], bundle),
         )
-        index.store = CoverageStore.from_state(state["store"], bundle)
-        index.coverage_backend = index.store.backend
         views = index.store.interned_views()
         index._num_sentences = int(state["num_sentences"])
         for record in state["nodes"]:

@@ -1,8 +1,8 @@
 """The tenant pool: shared immutable substrate, per-tenant engines.
 
 ``TenantPool`` owns everything that is corpus-wide and immutable — the sealed
-:class:`~repro.index.CorpusIndex`, its coverage columns (frozen read-only
-when arena-backed, content-digest verified on attach), and one
+:class:`~repro.index.CorpusIndex`, its coverage arena (frozen read-only,
+content-digest verified on attach), and one
 :class:`~repro.classifier.features.SharedFeatureCache` — and hands out
 :class:`Tenant` handles whose engines share all of it by reference:
 
@@ -68,7 +68,7 @@ class SharedIndexView(CorpusIndex):
     def add_sketch(self, sketch) -> None:  # pragma: no cover - guard
         self._refuse("add sketches to")
 
-    def merge(self, other, finalize: bool = True):  # pragma: no cover - guard
+    def merge(self, other):  # pragma: no cover - guard
         self._refuse("merge into")
 
     def prune(self, min_coverage: int) -> int:  # pragma: no cover - guard
@@ -150,7 +150,9 @@ class Tenant:
 
     def save(self, path: str) -> str:
         """Checkpoint this tenant. The shared columns are stored as an arena
-        *reference* (path + digest), tenant-local overlay columns inline."""
+        *reference* (path + digest) when the pool's arena has a durable
+        path, inline when it is temporary; tenant-local overlay columns are
+        always inline."""
         return self.engine.save(path)
 
     def resident_bytes(self) -> int:
@@ -168,16 +170,13 @@ class TenantPool:
 
     Args:
         corpus: The corpus every tenant labels.
-        config: Per-tenant run configuration. ``config.index`` selects the
-            shared coverage backend (``arena`` recommended for serving;
-            ``memory`` works and is what the cross-backend test matrix
-            exercises).
+        config: Per-tenant run configuration. ``config.index.arena_path``
+            places the shared coverage arena; ``None`` uses a temporary
+            file, whose columns tenant checkpoints then carry inline.
         index: A pre-built sealed index to adopt instead of building one.
         featurizer: A pre-fitted featurizer to adopt (its cache is shared).
-        arena_path: Overrides ``config.index.arena_path`` for a built index.
         expected_digest: Content digest the shared arena must match — the
-            digest-verified attach. Mismatch (or passing a digest for a
-            memory-backed pool) raises
+            digest-verified attach. Mismatch raises
             :class:`~repro.errors.ConfigurationError`.
         seeds: Default seeds for spawned tenants (``rule_texts`` /
             ``positive_ids``), as :class:`~repro.engine.DarwinEngine` takes.
@@ -191,7 +190,6 @@ class TenantPool:
         config: Optional[DarwinConfig] = None,
         index: Optional[CorpusIndex] = None,
         featurizer: Optional[SentenceFeaturizer] = None,
-        arena_path: Optional[str] = None,
         expected_digest: Optional[str] = None,
         seeds: Optional[Mapping[str, Any]] = None,
         dataset_spec: Optional[Mapping[str, Any]] = None,
@@ -205,14 +203,12 @@ class TenantPool:
         self._closed = False
 
         if index is None:
-            index_config = self.config.index
             index = CorpusIndex.build(
                 corpus,
                 self._build_grammars(),
                 max_depth=self.config.max_sketch_depth,
                 min_coverage=self.config.min_coverage,
-                coverage_backend=index_config.coverage_backend,
-                arena_path=arena_path or index_config.arena_path,
+                arena_path=self.config.index.arena_path,
             )
         elif not index.sealed:
             index.seal()
@@ -222,22 +218,14 @@ class TenantPool:
         # arena swaps its writable handle for a read-only one, so even a
         # buggy tenant physically cannot append to the shared id space.
         arena = self.index.store.arena
-        if arena is not None:
-            self.index.store.flush()
-            arena.reopen_read_only()
-            self.arena_digest: Optional[str] = arena.digest
-            if expected_digest is not None and expected_digest != self.arena_digest:
-                raise ConfigurationError(
-                    f"shared coverage arena {arena.path} does not match the "
-                    f"expected digest: {self.arena_digest} != {expected_digest}"
-                )
-        else:
-            self.arena_digest = None
-            if expected_digest is not None:
-                raise ConfigurationError(
-                    "expected_digest requires an arena-backed pool; the "
-                    "memory backend has no verifiable shared file"
-                )
+        self.index.store.flush()
+        arena.reopen_read_only()
+        self.arena_digest: str = arena.digest
+        if expected_digest is not None and expected_digest != self.arena_digest:
+            raise ConfigurationError(
+                f"shared coverage arena {arena.path} does not match the "
+                f"expected digest: {self.arena_digest} != {expected_digest}"
+            )
 
         if featurizer is None:
             featurizer = SentenceFeaturizer.fit(
@@ -265,7 +253,7 @@ class TenantPool:
             "shared_resident_bytes": "Heap bytes of the shared substrate",
             "tenant_resident_bytes": "Summed marginal tenant overlay bytes",
             "feature_cache_bytes": "Shared feature cache resident bytes",
-            "arena_file_bytes": "Backing arena file size (arena pools only)",
+            "arena_file_bytes": "Backing arena file size",
         }
         for key, value in stats.items():
             registry.gauge(
@@ -402,9 +390,9 @@ class TenantPool:
         store_state = index_state.get("store") or {}
         if store_state.get("backend") != "overlay":
             raise ConfigurationError(
-                f"tenant checkpoints layer an overlay over the shared store, "
-                f"but this checkpoint records backend "
-                f"{store_state.get('backend')!r}; it is not a pool tenant"
+                "tenant checkpoints layer an overlay over the shared store, "
+                "but this checkpoint records a plain store; it is not a pool "
+                "tenant"
             )
         overlay = OverlayCoverageStore.from_state_over(
             self.index.store, store_state, bundle
@@ -431,9 +419,9 @@ class TenantPool:
     # ------------------------------------------------------------- accounting
     def shared_resident_bytes(self) -> int:
         """Heap bytes pinned by the substrate every tenant shares: the base
-        store's residency (the offsets column for arena pools, the full
-        columns for memory pools), the CSR inverted map, and the feature
-        cache. Exists once per pool regardless of tenant count."""
+        store's residency (the arena's offsets column), the CSR inverted
+        map, and the feature cache. Exists once per pool regardless of
+        tenant count."""
         index = self.index
         inverted = (
             index._inv_nodes.nbytes
@@ -459,10 +447,9 @@ class TenantPool:
             "feature_cache_bytes": float(self.featurizer.cache.nbytes),
         }
         arena = self.index.store.arena
-        if arena is not None:
-            stats["arena_file_bytes"] = float(
-                arena.values_bytes + (arena.num_interned + 1) * 8
-            )
+        stats["arena_file_bytes"] = float(
+            arena.values_bytes + (arena.num_interned + 1) * 8
+        )
         return stats
 
     # --------------------------------------------------------------- lifecycle
@@ -496,8 +483,8 @@ class TenantPool:
         self.close()
 
     def __repr__(self) -> str:
-        backend = "closed" if self._closed else self.index.store.backend
+        state = "closed" if self._closed else "open"
         return (
-            f"TenantPool(tenants={self.num_tenants}, backend={backend!r}, "
+            f"TenantPool(tenants={self.num_tenants}, {state}, "
             f"digest={self.arena_digest!r})"
         )

@@ -4,13 +4,20 @@ Fixtures are intentionally small (hundreds of sentences at most) so the full
 suite runs in well under a minute; the benchmark harness exercises the larger
 configurations.
 
-Cross-backend matrix: the session-parametrized :func:`coverage_backend`
-fixture runs every test that (directly or transitively) depends on it once
-per coverage backend — ``memory`` and ``arena``. The core Darwin, engine, and
-crowd suites request it through :func:`backend_directions_index` /
-:func:`backend_index_spec`, so a behavioural difference between the heap and
-mmap coverage layers fails those suites instead of hiding until someone runs
-``tests/test_arena.py``.
+Arena placement axis: every index keeps its coverage in a memory-mapped
+arena, and where that arena lives decides what a checkpoint holds. The
+session-parametrized :func:`arena_placement` fixture runs every test that
+(directly or transitively) depends on it once per placement:
+
+* ``memory`` — no ``arena_path``: an unlinked-on-close temporary arena, so
+  checkpoints carry the coverage columns inline and resume in any process
+  (the id is the historic name of this self-contained placement);
+* ``arena`` — a durable caller-given arena path, so checkpoints are
+  digest-verified references to that file.
+
+The core Darwin, engine, and crowd suites request it through
+:func:`placed_directions_index` / :func:`placed_index_spec`, so a behavioural
+difference between the two checkpoint forms fails those suites.
 """
 
 from __future__ import annotations
@@ -96,37 +103,36 @@ def fast_config() -> DarwinConfig:
 
 
 @pytest.fixture(scope="session", params=["memory", "arena"])
-def coverage_backend(request) -> str:
-    """The coverage backend under test (the cross-backend matrix axis)."""
+def arena_placement(request) -> str:
+    """Where the coverage arena lives: ``memory`` (temporary) or ``arena``
+    (a durable path). See the module docstring."""
     return request.param
 
 
 @pytest.fixture(scope="session")
-def backend_directions_index(
-    directions_corpus, coverage_backend, tmp_path_factory
+def placed_directions_index(
+    directions_corpus, arena_placement, tmp_path_factory
 ) -> CorpusIndex:
-    """The small directions index, built on the matrixed coverage backend.
+    """The small directions index on the parametrized arena placement.
 
-    Identical to :func:`directions_index` for ``memory``; the ``arena``
-    variant spills its columns to a session-temporary mmap file. Suites that
-    must run on both backends take this fixture instead of
-    ``directions_index``.
+    Identical to :func:`directions_index` (a temporary arena) for
+    ``memory``; the ``arena`` placement puts its columns in a
+    session-temporary durable arena file.
     """
+    arena_path = None
+    if arena_placement == "arena":
+        path = tmp_path_factory.mktemp("coverage-arena") / "directions.arena"
+        arena_path = str(path)
     grammar = TokensRegexGrammar(max_phrase_len=4)
-    if coverage_backend == "memory":
-        return CorpusIndex.build(
-            directions_corpus, [grammar], max_depth=10, min_coverage=2
-        )
-    path = tmp_path_factory.mktemp("coverage-arena") / "directions.arena"
     return CorpusIndex.build(
         directions_corpus, [grammar], max_depth=10, min_coverage=2,
-        coverage_backend="arena", arena_path=str(path),
+        arena_path=arena_path,
     )
 
 
 @pytest.fixture()
-def backend_index_spec(coverage_backend, tmp_path):
-    """A fresh ``IndexConfig`` mapping for engine config dicts, per backend.
+def placed_index_spec(arena_placement, tmp_path):
+    """A fresh ``IndexConfig`` mapping for engine config dicts, per placement.
 
     A factory so one test can build several engines without them truncating
     each other's arena file: every call allocates a distinct path.
@@ -134,12 +140,9 @@ def backend_index_spec(coverage_backend, tmp_path):
     counter = {"n": 0}
 
     def make() -> dict:
-        if coverage_backend == "memory":
-            return {"coverage_backend": "memory"}
+        if arena_placement == "memory":
+            return {}
         counter["n"] += 1
-        return {
-            "coverage_backend": "arena",
-            "arena_path": str(tmp_path / f"matrix-{counter['n']}.arena"),
-        }
+        return {"arena_path": str(tmp_path / f"placed-{counter['n']}.arena")}
 
     return make

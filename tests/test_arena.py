@@ -1,10 +1,11 @@
-"""Tests for the memory-mapped coverage arena backend.
+"""Tests for the memory-mapped coverage arena.
 
 Covers the arena file format (create / append / reattach / corruption), the
-arena-backed :class:`CoverageStore` (zero-copy views, digest-verified
-checkpoint references, the ``num_interned``-vs-offsets validation bugfix),
-arena-backed index builds (serial and sharded parallel), and the engine
-checkpoint/resume path.
+:class:`CoverageStore` over it (zero-copy views, digest-verified checkpoint
+references, inline checkpoints of temporary arenas, the
+``num_interned``-vs-offsets validation bugfix), index builds (serial and
+sharded parallel) checked against plain-Python references, and the engine
+checkpoint/resume path for both arena placements.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from repro.errors import ConfigurationError
 from repro.grammars import TokensRegexGrammar
 from repro.index.arena import CoverageArena, HEADER_SIZE
 from repro.index.coverage import CoverageStore
-from repro.index.trie_index import CorpusIndex
+from repro.index.sketch import build_sketch
+from repro.index.trie_index import ROOT_KEY, CorpusIndex
 
 
 def arena_store(tmp_path, name="store.arena"):
-    return CoverageStore(backend="arena", path=str(tmp_path / name))
+    return CoverageStore(path=str(tmp_path / name))
 
 
 class TestCoverageArenaFile:
@@ -146,9 +148,9 @@ class TestArenaStore:
         store = arena_store(tmp_path)
         bundle = ArrayBundle()
         state = store.to_state(bundle)
-        assert state["backend"] == "arena"
+        assert state["arena"]["path"] == store.arena.path
         restored = CoverageStore.from_state(state, bundle)
-        assert restored.backend == "arena"
+        assert restored.arena.path == store.arena.path
         assert restored.num_interned == 1  # just the empty slot
         assert restored.empty.count == 0
 
@@ -230,49 +232,64 @@ class TestArenaStoreProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_arena_interning_matches_memory(self, tmp_path_factory, coverages):
-        """Arena-backed interning is view-for-view equal to in-memory."""
+        """Arena interning agrees view for view with in-memory Python sets."""
         tmp = tmp_path_factory.mktemp("arena-prop")
-        memory = CoverageStore(universe_size=128)
-        arena = CoverageStore(backend="arena", path=str(tmp / "prop.arena"))
+        arena = CoverageStore(path=str(tmp / "prop.arena"))
         arena.ensure_universe(128)
-        memory_views = [memory.intern(ids) for ids in coverages]
-        arena_views = [arena.intern(ids) for ids in coverages]
-        assert memory.num_interned == arena.num_interned
+        views = [arena.intern(ids) for ids in coverages]
+        expected = [frozenset(ids) for ids in coverages]
+        # One slot per distinct coverage, plus the empty slot.
+        assert arena.num_interned == len(set(expected) | {frozenset()})
         probe = np.zeros(128, dtype=bool)
         probe[::3] = True
-        for mem_view, arena_view in zip(memory_views, arena_views):
-            assert mem_view.ids.tolist() == arena_view.ids.tolist()
-            assert mem_view.to_set() == arena_view.to_set()
-            assert hash(mem_view) == hash(arena_view)
-            assert mem_view.overlap_with(probe) == arena_view.overlap_with(probe)
-            for other in arena_views:
-                assert (
-                    arena_view.intersect_count(other)
-                    == len(mem_view.to_set() & other.to_set())
+        probe_ids = set(range(0, 128, 3))
+        for view, ids, reference in zip(views, coverages, expected):
+            assert view.ids.tolist() == sorted(set(ids))
+            assert view.to_set() == reference
+            assert hash(view) == hash(reference)
+            assert view.overlap_with(probe) == len(reference & probe_ids)
+            for other, other_reference in zip(views, expected):
+                assert view.intersect_count(other) == len(
+                    reference & other_reference
                 )
+
+
+def _reference_coverage(corpus, grammars, max_depth, min_coverage):
+    """Per-key sentence-id sets from the raw sketches, in plain dicts."""
+    coverage = {ROOT_KEY: set()}
+    for sentence in corpus:
+        sketch = build_sketch(sentence, grammars, max_depth)
+        coverage[ROOT_KEY].add(sketch.sentence_id)
+        for key in sketch.entries:
+            coverage.setdefault(key, set()).add(sketch.sentence_id)
+    return {
+        key: ids for key, ids in coverage.items()
+        if key == ROOT_KEY or len(ids) >= min_coverage
+    }
 
 
 class TestArenaIndex:
     def test_serial_build_matches_memory(self, tmp_path, directions_corpus):
-        grammar = TokensRegexGrammar(max_phrase_len=4)
-        memory = CorpusIndex.build(
-            directions_corpus, [grammar], max_depth=10, min_coverage=2
-        )
-        arena = CorpusIndex.build(
-            directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
-            max_depth=10, min_coverage=2,
-            coverage_backend="arena",
+        """A serial build equals in-memory dict coverage from the sketches."""
+        grammars = [TokensRegexGrammar(max_phrase_len=4)]
+        reference = _reference_coverage(directions_corpus, grammars, 10, 2)
+        index = CorpusIndex.build(
+            directions_corpus, grammars, max_depth=10, min_coverage=2,
             arena_path=str(tmp_path / "serial.arena"),
         )
-        assert arena.store.backend == "arena"
-        assert set(memory.nodes) == set(arena.nodes)
-        for key in memory.nodes:
-            assert (
-                list(memory.nodes[key].sentence_ids)
-                == list(arena.nodes[key].sentence_ids)
-            )
-        query = sorted(directions_corpus.positive_ids())[:15]
-        assert memory.top_by_overlap(query, 25) == arena.top_by_overlap(query, 25)
+        assert set(index.nodes) == set(reference)
+        for key, ids in reference.items():
+            assert list(index.nodes[key].sentence_ids) == sorted(ids)
+        query = set(sorted(directions_corpus.positive_ids())[:15])
+        ranked = sorted(
+            (
+                (key, len(ids & query))
+                for key, ids in reference.items()
+                if key != ROOT_KEY and ids & query
+            ),
+            key=lambda item: (-item[1], -len(reference[item[0]]), repr(item[0])),
+        )
+        assert index.top_by_overlap(query, 25) == ranked[:25]
 
     def test_rebuild_over_existing_arena_path_starts_fresh(
         self, tmp_path, example1_corpus, tokensregex
@@ -281,21 +298,19 @@ class TestArenaIndex:
         # adopt its slots (which would inflate the universe) or grow the
         # file across reruns.
         path = str(tmp_path / "reused.arena")
-        stale = CoverageStore(backend="arena", path=path)
+        stale = CoverageStore(path=path)
         stale.intern(np.arange(0, 200_000, 7, dtype=np.int32))
         stale.flush()
         del stale
         first_size = os.path.getsize(path)
 
         index = CorpusIndex.build(
-            example1_corpus, [tokensregex], max_depth=6,
-            coverage_backend="arena", arena_path=path,
+            example1_corpus, [tokensregex], max_depth=6, arena_path=path
         )
         assert index.store.universe_size == len(example1_corpus)
         assert os.path.getsize(path) < first_size
         again = CorpusIndex.build(
-            example1_corpus, [tokensregex], max_depth=6,
-            coverage_backend="arena", arena_path=path,
+            example1_corpus, [tokensregex], max_depth=6, arena_path=path
         )
         assert again.store.num_interned == index.store.num_interned
 
@@ -307,10 +322,9 @@ class TestArenaIndex:
         parallel = CorpusIndex.build_parallel(
             directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
             max_depth=10, min_coverage=2, num_chunks=3,
-            coverage_backend="arena",
             arena_path=str(tmp_path / "parallel.arena"),
         )
-        assert parallel.store.backend == "arena"
+        assert parallel.store.arena.path == str(tmp_path / "parallel.arena")
         assert set(serial.nodes) == set(parallel.nodes)
         for key in serial.nodes:
             assert (
@@ -336,28 +350,48 @@ def engine_spec(tmp_path=None):
 
     spec = copy.deepcopy(ENGINE_SPEC)
     if tmp_path is not None:
-        spec["config"]["index"] = {
-            "coverage_backend": "arena",
-            "arena_path": str(tmp_path / "engine.arena"),
-        }
+        spec["config"]["index"] = {"arena_path": str(tmp_path / "engine.arena")}
     return spec
 
 
 class TestArenaEngine:
-    def test_checkpoint_resume_matches_memory_backend(self, tmp_path):
-        memory_history = DarwinEngine.from_config(engine_spec()).run().history
+    def test_checkpoint_resume_matches_uninterrupted_run(self, tmp_path):
+        uninterrupted = DarwinEngine.from_config(engine_spec()).run().history
 
         engine = DarwinEngine.from_config(engine_spec(tmp_path))
-        assert engine.darwin.index.store.backend == "arena"
         engine.run(budget=4)
         checkpoint = str(tmp_path / "engine.npz")
         engine.save(checkpoint)
 
         resumed = DarwinEngine.load(checkpoint)
-        assert resumed.darwin.index.store.backend == "arena"
+        assert resumed.darwin.index.store.arena.path == str(
+            tmp_path / "engine.arena"
+        )
         assert resumed.questions_asked == 4
         result = resumed.run(budget=8)
-        assert result.history == memory_history
+        assert result.history == uninterrupted
+
+    def test_temp_arena_checkpoint_outlives_its_arena(self, tmp_path):
+        uninterrupted = DarwinEngine.from_config(engine_spec()).run().history
+
+        engine = DarwinEngine.from_config(engine_spec())
+        arena_path = engine.darwin.index.store.arena.path
+        engine.run(budget=4)
+        checkpoint = str(tmp_path / "inline.npz")
+        engine.save(checkpoint)
+        engine.darwin.index.store.close()
+        del engine
+        assert not os.path.exists(arena_path)
+
+        summary = DarwinEngine.describe_checkpoint(checkpoint)
+        assert summary["coverage_checkpoint"] == "inline"
+        assert summary["arena"] is None
+        assert {"index/store/values", "index/store/offsets"} <= set(
+            summary["arrays"]
+        )
+        resumed = DarwinEngine.load(checkpoint)
+        assert resumed.questions_asked == 4
+        assert resumed.run(budget=8).history == uninterrupted
 
     def test_checkpoint_is_reference_not_copy(self, tmp_path):
         engine = DarwinEngine.from_config(engine_spec(tmp_path))
@@ -365,7 +399,7 @@ class TestArenaEngine:
         checkpoint = str(tmp_path / "reference.npz")
         engine.save(checkpoint)
         summary = DarwinEngine.describe_checkpoint(checkpoint)
-        assert summary["coverage_backend"] == "arena"
+        assert summary["coverage_checkpoint"] == "reference"
         assert summary["arena"]["path"] == str(tmp_path / "engine.arena")
         # The coverage columns must not be re-serialized into the npz.
         assert not any(

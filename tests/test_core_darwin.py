@@ -1,7 +1,7 @@
 """Tests for the end-to-end Darwin loop, ScoreUpdater, and the session API.
 
-The whole suite runs once per coverage backend (memory and arena) via the
-shared ``backend_directions_index`` conftest fixture."""
+The whole suite runs once per arena placement (temporary and durable path)
+via the shared ``placed_directions_index`` conftest fixture."""
 
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ class TestScoreUpdater:
 
 
 @pytest.fixture(scope="module")
-def darwin_run(directions_corpus, backend_directions_index, directions_featurizer):
+def darwin_run(directions_corpus, placed_directions_index, directions_featurizer):
     """One shared Darwin(HS) run on the small directions corpus."""
     config = DarwinConfig(
         budget=25, num_candidates=250, min_coverage=2,
@@ -77,7 +77,7 @@ def darwin_run(directions_corpus, backend_directions_index, directions_featurize
     )
     darwin = Darwin(
         directions_corpus, config=config,
-        index=backend_directions_index, featurizer=directions_featurizer,
+        index=placed_directions_index, featurizer=directions_featurizer,
     )
     oracle = GroundTruthOracle(directions_corpus)
     result = darwin.run(oracle, seed_rule_texts=["best way to get to"])
@@ -129,46 +129,46 @@ class TestDarwinRun:
 
 
 class TestDarwinValidation:
-    def test_requires_seeds(self, directions_corpus, backend_directions_index, directions_featurizer, fast_config):
+    def test_requires_seeds(self, directions_corpus, placed_directions_index, directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         with pytest.raises(ConfigurationError):
             darwin.start()
 
-    def test_empty_seed_coverage_rejected(self, directions_corpus, backend_directions_index,
+    def test_empty_seed_coverage_rejected(self, directions_corpus, placed_directions_index,
                                           directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         with pytest.raises(ConfigurationError):
             darwin.start(seed_rule_texts=["zzzz qqqq xxxx"])
 
-    def test_stepping_before_start_rejected(self, directions_corpus, backend_directions_index,
+    def test_stepping_before_start_rejected(self, directions_corpus, placed_directions_index,
                                             directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         with pytest.raises(ConfigurationError):
             darwin.propose_next()
 
-    def test_unknown_grammar_rejected(self, directions_corpus, backend_directions_index,
+    def test_unknown_grammar_rejected(self, directions_corpus, placed_directions_index,
                                       directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         with pytest.raises(ConfigurationError):
             darwin.parse_seed_rule("best way", grammar_name="nope")
 
-    def test_seed_positive_ids_only(self, directions_corpus, backend_directions_index,
+    def test_seed_positive_ids_only(self, directions_corpus, placed_directions_index,
                                     directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         positives = sorted(directions_corpus.positive_ids())[:4]
         oracle = GroundTruthOracle(directions_corpus)
@@ -176,7 +176,7 @@ class TestDarwinValidation:
         assert result.queries_used <= 8
         assert result.rule_set.coverage_size() >= 0
 
-    def test_prewrapped_oracle_budget_reconciled(self, directions_corpus, backend_directions_index,
+    def test_prewrapped_oracle_budget_reconciled(self, directions_corpus, placed_directions_index,
                                                  directions_featurizer, fast_config):
         """Regression: a pre-wrapped BudgetedOracle whose internal budget
         differs from budget/config.budget must be bounded by the min of the
@@ -186,7 +186,7 @@ class TestDarwinValidation:
         # Internal budget (3) tighter than the explicit budget (10).
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         wrapped = BudgetedOracle(base=GroundTruthOracle(directions_corpus), budget=3)
         result = darwin.run(wrapped, seed_rule_texts=["best way to get to"], budget=10)
@@ -195,14 +195,14 @@ class TestDarwinValidation:
         # Explicit budget (2) tighter than the internal budget (50).
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         wrapped = BudgetedOracle(base=GroundTruthOracle(directions_corpus), budget=50)
         result = darwin.run(wrapped, seed_rule_texts=["best way to get to"], budget=2)
         assert result.queries_used <= 2
         assert wrapped.queries_used <= 2
 
-    def test_incremental_and_full_refresh_both_work(self, directions_corpus, backend_directions_index,
+    def test_incremental_and_full_refresh_both_work(self, directions_corpus, placed_directions_index,
                                                     directions_featurizer):
         results = {}
         for mode in ("incremental", "full"):
@@ -212,7 +212,7 @@ class TestDarwinValidation:
             )
             darwin = Darwin(
                 directions_corpus, config=config,
-                index=backend_directions_index, featurizer=directions_featurizer,
+                index=placed_directions_index, featurizer=directions_featurizer,
             )
             results[mode] = darwin.run(
                 GroundTruthOracle(directions_corpus),
@@ -224,7 +224,7 @@ class TestDarwinValidation:
             for rule in result.rule_set.rules:
                 assert rule.precision(positives) >= 0.8
 
-    def test_local_and_universal_traversals_run(self, directions_corpus, backend_directions_index,
+    def test_local_and_universal_traversals_run(self, directions_corpus, placed_directions_index,
                                                 directions_featurizer):
         for traversal in ("local", "universal"):
             config = DarwinConfig(
@@ -233,7 +233,7 @@ class TestDarwinValidation:
             )
             darwin = Darwin(
                 directions_corpus, config=config,
-                index=backend_directions_index, featurizer=directions_featurizer,
+                index=placed_directions_index, featurizer=directions_featurizer,
             )
             result = darwin.run(
                 GroundTruthOracle(directions_corpus),
@@ -243,11 +243,11 @@ class TestDarwinValidation:
 
 
 class TestLabelingSession:
-    def test_interactive_flow(self, directions_corpus, backend_directions_index,
+    def test_interactive_flow(self, directions_corpus, placed_directions_index,
                               directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         session = LabelingSession(
             darwin, budget=5, seed_rule_texts=["best way to get to"]
@@ -269,11 +269,11 @@ class TestLabelingSession:
         assert result.queries_used == answered
         assert len(result.history) == answered
 
-    def test_submit_without_question_raises(self, directions_corpus, backend_directions_index,
+    def test_submit_without_question_raises(self, directions_corpus, placed_directions_index,
                                             directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         session = LabelingSession(darwin, budget=3, seed_rule_texts=["best way to get to"])
         from repro.errors import BudgetExhaustedError
@@ -281,11 +281,11 @@ class TestLabelingSession:
         with pytest.raises(BudgetExhaustedError):
             session.submit_answer(True)
 
-    def test_next_question_idempotent_until_answered(self, directions_corpus, backend_directions_index,
+    def test_next_question_idempotent_until_answered(self, directions_corpus, placed_directions_index,
                                                      directions_featurizer, fast_config):
         darwin = Darwin(
             directions_corpus, config=fast_config,
-            index=backend_directions_index, featurizer=directions_featurizer,
+            index=placed_directions_index, featurizer=directions_featurizer,
         )
         session = LabelingSession(darwin, budget=3, seed_rule_texts=["best way to get to"])
         first = session.next_question()

@@ -1,7 +1,7 @@
 """Tests for the crowd session service (coordinator, runner, batching).
 
-The whole suite runs once per coverage backend (memory and arena) via the
-shared ``backend_directions_index`` conftest fixture."""
+The whole suite runs once per arena placement (temporary and durable path)
+via the shared ``placed_directions_index`` conftest fixture."""
 
 from __future__ import annotations
 
@@ -85,10 +85,10 @@ class TestMajorityVoteOracleDeterminism:
         ])
 
     def test_seeded_crowds_answer_identically(self, directions_corpus,
-                                              backend_directions_index,
+                                              placed_directions_index,
                                               directions_featurizer):
         queries = self._queries(
-            make_darwin(directions_corpus, backend_directions_index, directions_featurizer)
+            make_darwin(directions_corpus, placed_directions_index, directions_featurizer)
         )
         first = self._crowd(directions_corpus, seed=3)
         second = self._crowd(directions_corpus, seed=3)
@@ -98,10 +98,10 @@ class TestMajorityVoteOracleDeterminism:
         assert first.total_votes == second.total_votes == 3 * len(queries)
 
     def test_different_seeds_can_disagree(self, directions_corpus,
-                                          backend_directions_index,
+                                          placed_directions_index,
                                           directions_featurizer):
         queries = self._queries(
-            make_darwin(directions_corpus, backend_directions_index, directions_featurizer),
+            make_darwin(directions_corpus, placed_directions_index, directions_featurizer),
             count=8,
         )
         # With 35% flip noise per annotator, at least the vote streams (not
@@ -117,10 +117,10 @@ class TestMajorityVoteOracleDeterminism:
 
 class TestDispatch:
     def test_no_duplicate_in_flight_proposals(self, directions_corpus,
-                                              backend_directions_index,
+                                              placed_directions_index,
                                               directions_featurizer):
         coordinator, _ = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=4, redundancy=1, batch_size=4),
         )
         assignments = [coordinator.request_question(i) for i in range(4)]
@@ -131,10 +131,10 @@ class TestDispatch:
         assert len(tickets) == 4
 
     def test_redundant_assignment_to_distinct_annotators(self, directions_corpus,
-                                                         backend_directions_index,
+                                                         placed_directions_index,
                                                          directions_featurizer):
         coordinator, _ = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=3, redundancy=3, batch_size=1),
         )
         a0 = coordinator.request_question(0)
@@ -147,9 +147,9 @@ class TestDispatch:
         assert coordinator.request_question(0) is None
 
     def test_propose_batch_marks_in_flight(self, directions_corpus,
-                                           backend_directions_index,
+                                           placed_directions_index,
                                            directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         darwin.start(seed_rule_texts=[SEED_RULE])
         batch = darwin.propose_batch(5)
@@ -163,10 +163,10 @@ class TestDispatch:
         assert batch[0] not in darwin.traversal.context.queried
 
     def test_unknown_ticket_and_annotator_rejected(self, directions_corpus,
-                                                   backend_directions_index,
+                                                   placed_directions_index,
                                                    directions_featurizer):
         coordinator, _ = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=2, redundancy=1, batch_size=2),
         )
         with pytest.raises(ConfigurationError):
@@ -177,10 +177,10 @@ class TestDispatch:
         with pytest.raises(OracleError):
             coordinator.submit_vote(assignment.ticket_id, 1, True)  # not assigned
 
-    def test_double_vote_rejected(self, directions_corpus, backend_directions_index,
+    def test_double_vote_rejected(self, directions_corpus, placed_directions_index,
                                   directions_featurizer):
         coordinator, _ = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=2, redundancy=2, batch_size=1),
         )
         assignment = coordinator.request_question(0)
@@ -188,10 +188,10 @@ class TestDispatch:
         with pytest.raises(OracleError):
             coordinator.submit_vote(assignment.ticket_id, 0, True)
 
-    def test_budget_bounds_dispatch(self, directions_corpus, backend_directions_index,
+    def test_budget_bounds_dispatch(self, directions_corpus, placed_directions_index,
                                     directions_featurizer):
         coordinator, _ = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=2, redundancy=1, batch_size=8, budget=3),
         )
         committed = 0
@@ -203,18 +203,18 @@ class TestDispatch:
                 committed += 1
         assert committed == coordinator.questions_committed == 3
 
-    def test_requires_started_darwin(self, directions_corpus, backend_directions_index,
+    def test_requires_started_darwin(self, directions_corpus, placed_directions_index,
                                      directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         with pytest.raises(ConfigurationError):
             CrowdCoordinator(darwin, CrowdConfig())
 
     def test_transient_exhaustion_with_open_tickets_recovers(
-            self, directions_corpus, backend_directions_index, directions_featurizer,
+            self, directions_corpus, placed_directions_index, directions_featurizer,
             monkeypatch):
         coordinator, darwin = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=2, redundancy=1, batch_size=4),
         )
         assignment = coordinator.request_question(0)
@@ -245,10 +245,10 @@ class TestRedundancyCommit:
                 record = result
         return record
 
-    def test_majority_accepts(self, directions_corpus, backend_directions_index,
+    def test_majority_accepts(self, directions_corpus, placed_directions_index,
                               directions_featurizer):
         coordinator, darwin = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=3, redundancy=3, batch_size=1),
         )
         before = len(darwin.rule_set)
@@ -256,10 +256,10 @@ class TestRedundancyCommit:
         assert record is not None and record.answer is True
         assert len(darwin.rule_set) == before + 1
 
-    def test_majority_rejects(self, directions_corpus, backend_directions_index,
+    def test_majority_rejects(self, directions_corpus, placed_directions_index,
                               directions_featurizer):
         coordinator, darwin = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=3, redundancy=3, batch_size=1),
         )
         before = len(darwin.rule_set)
@@ -268,10 +268,10 @@ class TestRedundancyCommit:
         assert len(darwin.rule_set) == before
 
     def test_even_redundancy_tie_counts_as_no(self, directions_corpus,
-                                              backend_directions_index,
+                                              placed_directions_index,
                                               directions_featurizer):
         coordinator, darwin = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=2, redundancy=2, batch_size=1),
         )
         before = len(darwin.rule_set)
@@ -280,10 +280,10 @@ class TestRedundancyCommit:
         assert len(darwin.rule_set) == before
 
     def test_commit_waits_for_all_votes(self, directions_corpus,
-                                        backend_directions_index,
+                                        placed_directions_index,
                                         directions_featurizer):
         coordinator, _ = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=3, redundancy=3, batch_size=1),
         )
         a0 = coordinator.request_question(0)
@@ -298,9 +298,9 @@ class TestRedundancyCommit:
 
 class TestBatchedRetrainEquivalence:
     @pytest.fixture(scope="class")
-    def serial_run(self, directions_corpus, backend_directions_index,
+    def serial_run(self, directions_corpus, placed_directions_index,
                    directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         result = darwin.run(GroundTruthOracle(directions_corpus),
                             seed_rule_texts=[SEED_RULE])
@@ -308,10 +308,10 @@ class TestBatchedRetrainEquivalence:
 
     def test_batch_one_matches_serial_history(self, serial_run,
                                               directions_corpus,
-                                              backend_directions_index,
+                                              placed_directions_index,
                                               directions_featurizer):
         serial_darwin, serial_result = serial_run
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         outcome = run_crowd(
             darwin,
@@ -332,10 +332,10 @@ class TestBatchedRetrainEquivalence:
         assert darwin.trainer.retrain_count == serial_darwin.trainer.retrain_count
 
     def test_batching_amortizes_retrains(self, serial_run, directions_corpus,
-                                         backend_directions_index,
+                                         placed_directions_index,
                                          directions_featurizer):
         serial_darwin, serial_result = serial_run
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         outcome = run_crowd(
             darwin,
@@ -352,10 +352,10 @@ class TestBatchedRetrainEquivalence:
             assert rule.precision(truth) >= 0.8
 
     def test_trailing_partial_batch_flushed_by_result(self, directions_corpus,
-                                                      backend_directions_index,
+                                                      placed_directions_index,
                                                       directions_featurizer):
         coordinator, darwin = make_coordinator(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             CrowdConfig(num_annotators=1, redundancy=1, batch_size=10, budget=3),
         )
         while not coordinator.is_done:
@@ -368,12 +368,12 @@ class TestBatchedRetrainEquivalence:
         assert darwin.pending_update_count == 0
 
     def test_noisy_crowd_runs_to_completion(self, directions_corpus,
-                                            backend_directions_index,
+                                            placed_directions_index,
                                             directions_featurizer):
         config = CrowdConfig(num_annotators=3, redundancy=3, batch_size=4,
                              annotator_latency=0.0, label_noise=0.2, seed=5,
                              budget=8)
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         annotators = simulated_annotators(directions_corpus, config)
         assert len(annotators) == 3
@@ -388,18 +388,18 @@ class TestBatchedRetrainEquivalence:
 
 class TestSessionBudgetReconciliation:
     def test_session_budget_capped_by_config(self, directions_corpus,
-                                             backend_directions_index,
+                                             placed_directions_index,
                                              directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)  # config.budget = 15
         session = LabelingSession(darwin, budget=50,
                                   seed_rule_texts=[SEED_RULE])
         assert session.budget == 15
 
     def test_session_budget_capped_by_prewrapped_oracle(self, directions_corpus,
-                                                        backend_directions_index,
+                                                        placed_directions_index,
                                                         directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         oracle = BudgetedOracle(base=GroundTruthOracle(directions_corpus),
                                 budget=4)
@@ -416,9 +416,9 @@ class TestSessionBudgetReconciliation:
         assert oracle.queries_used == 4
 
     def test_auto_answer_without_oracle_rejected(self, directions_corpus,
-                                                 backend_directions_index,
+                                                 placed_directions_index,
                                                  directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         session = LabelingSession(darwin, budget=3,
                                   seed_rule_texts=[SEED_RULE])
@@ -443,10 +443,10 @@ class TestIncrementalScoringWiring:
         assert trainer.incremental_scoring is False
 
     def test_darwin_builds_incremental_trainer(self, directions_corpus,
-                                               backend_directions_index,
+                                               placed_directions_index,
                                                directions_featurizer):
         darwin = make_darwin(
-            directions_corpus, backend_directions_index, directions_featurizer,
+            directions_corpus, placed_directions_index, directions_featurizer,
             classifier={"epochs": 5, "embedding_dim": 30,
                         "incremental_scoring": True},
         )
@@ -456,9 +456,9 @@ class TestIncrementalScoringWiring:
 
 class TestSampleForQuery:
     def test_public_name_and_alias_agree(self, directions_corpus,
-                                         backend_directions_index,
+                                         placed_directions_index,
                                          directions_featurizer):
-        darwin = make_darwin(directions_corpus, backend_directions_index,
+        darwin = make_darwin(directions_corpus, placed_directions_index,
                              directions_featurizer)
         darwin.start(seed_rule_texts=[SEED_RULE])
         rule = darwin.propose_next()

@@ -1,10 +1,10 @@
 """Tests for the declarative engine API: registries, config construction,
 checkpoint/resume state protocol, and the parallel index build.
 
-The construction and checkpoint/resume suites run on both coverage backends
-(memory and arena) through the shared ``backend_index_spec`` conftest
-fixture, so the replay guarantee is enforced per backend instead of only on
-the heap layout."""
+The construction and checkpoint/resume suites run on both arena placements
+through the shared ``placed_index_spec`` conftest fixture, so the replay
+guarantee is enforced for inline checkpoints (temporary arena) and for arena
+references (durable path) alike."""
 
 from __future__ import annotations
 
@@ -112,9 +112,9 @@ class TestConfigNames:
 
 
 class TestFromConfig:
-    def test_builds_and_runs_without_class_imports(self, backend_index_spec):
+    def test_builds_and_runs_without_class_imports(self, placed_index_spec):
         spec = engine_spec("directions", "best way to get to", budget=5)
-        spec["config"]["index"] = backend_index_spec()
+        spec["config"]["index"] = placed_index_spec()
         engine = DarwinEngine.from_config(spec)
         result = engine.run()
         assert result.queries_used == 5
@@ -153,16 +153,16 @@ class TestFromConfig:
 )
 class TestCheckpointResume:
     def test_resume_is_question_for_question_identical(
-        self, tmp_path, dataset, seed_rule, backend_index_spec
+        self, tmp_path, dataset, seed_rule, placed_index_spec
     ):
         spec = engine_spec(dataset, seed_rule, budget=12)
-        spec["config"]["index"] = backend_index_spec()
+        spec["config"]["index"] = placed_index_spec()
         straight = DarwinEngine.from_config(spec).run()
 
         # A fresh index spec per engine: two engines must never build over
         # (and truncate) one another's arena file.
         spec = engine_spec(dataset, seed_rule, budget=12)
-        spec["config"]["index"] = backend_index_spec()
+        spec["config"]["index"] = placed_index_spec()
         interrupted = DarwinEngine.from_config(spec)
         interrupted.run(budget=6)
         path = interrupted.save(str(tmp_path / "mid.npz"))
@@ -176,13 +176,13 @@ class TestCheckpointResume:
         assert result.covered_ids == straight.covered_ids
 
     def test_resume_identical_with_stochastic_oracle(
-        self, tmp_path, dataset, seed_rule, backend_index_spec
+        self, tmp_path, dataset, seed_rule, placed_index_spec
     ):
         # The replay guarantee must hold for noisy oracles too: the oracle's
         # RNG stream is checkpointed and resumed mid-stream, not re-seeded.
         def noisy_spec() -> dict:
             spec = engine_spec(dataset, seed_rule, budget=12)
-            spec["config"]["index"] = backend_index_spec()
+            spec["config"]["index"] = placed_index_spec()
             spec["config"]["oracle"] = "noisy_ground_truth"
             spec["oracle_options"] = {"flip_prob": 0.3, "seed": 11}
             return spec
@@ -197,10 +197,10 @@ class TestCheckpointResume:
         assert resumed.history == straight.history
 
     def test_restored_engine_state_matches(
-        self, tmp_path, dataset, seed_rule, backend_index_spec
+        self, tmp_path, dataset, seed_rule, placed_index_spec
     ):
         spec = engine_spec(dataset, seed_rule, budget=12)
-        spec["config"]["index"] = backend_index_spec()
+        spec["config"]["index"] = placed_index_spec()
         engine = DarwinEngine.from_config(spec)
         engine.run(budget=6)
         path = engine.save(str(tmp_path / "mid.npz"))

@@ -559,8 +559,7 @@ class TestServeHttpCli:
 
     def test_missing_arena_directory_exits_2(self, capsys):
         exit_code = main([
-            "serve-http", "--coverage-backend", "arena",
-            "--arena-path", "/nonexistent-gateway-dir/pool.arena",
+            "serve-http", "--arena-path", "/nonexistent-gateway-dir/pool.arena",
         ])
         assert exit_code == 2
         assert "arena directory does not exist" in capsys.readouterr().err
@@ -585,5 +584,5 @@ class TestServeHttpCli:
         args = build_parser().parse_args(["serve-http"])
         assert args.port == 8080
         assert args.queue_depth == 32
-        assert args.coverage_backend == "memory"
+        assert args.arena_path is None
         assert args.allow_debug_ops is False

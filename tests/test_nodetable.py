@@ -7,7 +7,7 @@ reachability sets, and benefit counts. The hypothesis properties below
 compare each kernel against a faithful reference implementation on random
 graphs/corpora; the Darwin history test replays a full interactive run with
 the legacy paths monkeypatched back in and asserts the question sequence is
-unchanged (on both the memory and arena coverage backends, via the
+unchanged (on both arena placements, temporary and durable path, via the
 session-parametrized fixtures).
 """
 
@@ -71,6 +71,12 @@ def random_coverages(draw):
         st.lists(st.integers(min_value=0, max_value=universe - 1), max_size=40)
     )
     return universe, coverages, set(covered)
+
+
+def _placed_store(arena_placement: str, tmp_path, name: str) -> CoverageStore:
+    """A store on the parametrized arena placement (see ``conftest.py``)."""
+    path = str(tmp_path / name) if arena_placement == "arena" else None
+    return CoverageStore(path=path)
 
 
 def _mk_rule(tag: int, coverage) -> LabelingHeuristic:
@@ -212,15 +218,9 @@ class TestBatchedCoverageKernels:
         max_examples=60, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_matches_per_view_probes(self, coverage_backend, tmp_path, case):
+    def test_matches_per_view_probes(self, arena_placement, tmp_path, case):
         universe, coverages, covered = case
-        if coverage_backend == "arena":
-            store = CoverageStore(
-                backend="arena",
-                path=str(tmp_path / "kernels.arena"),
-            )
-        else:
-            store = CoverageStore()
+        store = _placed_store(arena_placement, tmp_path, "kernels.arena")
         views = [store.intern(ids) for ids in coverages]
         store.flush()
         mask = np.zeros(universe, dtype=bool)
@@ -259,8 +259,8 @@ def _legacy_top_by_coverage(index, limit, grammar_name=None):
 
 
 class TestIndexKernelEquivalence:
-    def test_top_by_overlap_matches_legacy(self, backend_directions_index):
-        index = backend_directions_index
+    def test_top_by_overlap_matches_legacy(self, placed_directions_index):
+        index = placed_directions_index
         rng = random.Random(17)
         n = index._num_sentences
         for _ in range(20):
@@ -273,8 +273,8 @@ class TestIndexKernelEquivalence:
         assert index.top_by_overlap([n + 5, -3], 10) == []
         assert index.top_by_overlap(range(n), 0) == []
 
-    def test_top_by_coverage_matches_legacy(self, backend_directions_index):
-        index = backend_directions_index
+    def test_top_by_coverage_matches_legacy(self, placed_directions_index):
+        index = placed_directions_index
         for limit in (1, 5, 100, 10**6):
             assert index.top_by_coverage(limit) == \
                 _legacy_top_by_coverage(index, limit)
@@ -283,14 +283,14 @@ class TestIndexKernelEquivalence:
         assert index.top_by_coverage(0) == []
         assert index.top_by_coverage(3, "no-such-grammar") == []
 
-    def test_coverage_memo_survives_repeat_calls(self, backend_directions_index):
-        index = backend_directions_index
+    def test_coverage_memo_survives_repeat_calls(self, placed_directions_index):
+        index = placed_directions_index
         first = index.top_by_coverage(25)
         assert index.top_by_coverage(25) == first
         assert None in index._coverage_order_cache
 
-    def test_node_table_alignment(self, backend_directions_index):
-        index = backend_directions_index
+    def test_node_table_alignment(self, placed_directions_index):
+        index = placed_directions_index
         table = index.node_table
         assert table is not None
         assert len(table) == len(index._key_list)
@@ -393,16 +393,10 @@ class TestHierarchyKernelEquivalence:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_cleanup_mask_path_matches_on_views(
-        self, coverage_backend, tmp_path, case
+        self, arena_placement, tmp_path, case
     ):
         universe, coverages, edges, covered = case
-        if coverage_backend == "arena":
-            store = CoverageStore(
-                backend="arena",
-                path=str(tmp_path / "cleanup.arena"),
-            )
-        else:
-            store = CoverageStore()
+        store = _placed_store(arena_placement, tmp_path, "cleanup.arena")
         batch_h, legacy_h = RuleHierarchy(), RuleHierarchy()
         rules = []
         for i, cov in enumerate(coverages):
@@ -480,16 +474,10 @@ class TestBenefitPriming:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_primed_counts_equal_per_rule_probes(
-        self, coverage_backend, tmp_path, case
+        self, arena_placement, tmp_path, case
     ):
         universe, coverages, covered = case
-        if coverage_backend == "arena":
-            store = CoverageStore(
-                backend="arena",
-                path=str(tmp_path / "benefit.arena"),
-            )
-        else:
-            store = CoverageStore()
+        store = _placed_store(arena_placement, tmp_path, "benefit.arena")
         rules = []
         for i, cov in enumerate(coverages):
             view = store.intern(cov)
@@ -537,21 +525,20 @@ _HISTORY_SEEDS = {
 
 
 @pytest.fixture(scope="module", params=["directions", "professions"])
-def history_setup(request, coverage_backend, tmp_path_factory):
-    """Corpus + sealed index (per dataset, per coverage backend) + featurizer."""
+def history_setup(request, arena_placement, tmp_path_factory):
+    """Corpus + sealed index (per dataset, per arena placement) + featurizer."""
     from repro.classifier.features import SentenceFeaturizer
 
     name = request.param
     corpus = load_dataset(name, num_sentences=300, seed=13, parse_trees=False)
     grammar = TokensRegexGrammar(max_phrase_len=4)
-    if coverage_backend == "arena":
+    arena_path = None
+    if arena_placement == "arena":
         path = tmp_path_factory.mktemp("history-arena") / f"{name}.arena"
-        index = CorpusIndex.build(
-            corpus, [grammar], max_depth=10, min_coverage=2,
-            coverage_backend="arena", arena_path=str(path),
-        )
-    else:
-        index = CorpusIndex.build(corpus, [grammar], max_depth=10, min_coverage=2)
+        arena_path = str(path)
+    index = CorpusIndex.build(
+        corpus, [grammar], max_depth=10, min_coverage=2, arena_path=arena_path
+    )
     featurizer = SentenceFeaturizer.fit(corpus, embedding_dim=30, seed=0)
     return corpus, index, featurizer
 

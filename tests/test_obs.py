@@ -10,7 +10,7 @@ The load-bearing properties:
 * **task-local span nesting** — concurrently served tenants each parent
   their own ``darwin.*`` spans, no cross-talk through the shared tracer;
 * **free when off** — with the default ``NullRegistry`` an engine run on
-  either coverage backend records nothing and allocates no series.
+  either arena placement records nothing and allocates no series.
 """
 
 from __future__ import annotations
@@ -325,10 +325,7 @@ class TestNullPath:
         assert isinstance(obs.get_registry(), NullRegistry)
         index = IndexConfig()
         if backend == "arena":
-            index = IndexConfig(
-                coverage_backend="arena",
-                arena_path=str(tmp_path / "null.arena"),
-            )
+            index = IndexConfig(arena_path=str(tmp_path / "null.arena"))
         engine = DarwinEngine(
             directions_corpus,
             config=fast_engine_config(index=index),

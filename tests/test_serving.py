@@ -5,7 +5,7 @@ The load-bearing properties:
 
 * **isolation** — interleaved interns from two tenants over one shared store
   never perturb each other's views or the shared columns (hypothesis
-  property, extending the arena==memory property to the overlay);
+  property, extending the arena-vs-Python-sets property to the overlay);
 * **no double-compute** — tenants featurizing overlapping sentence ranges
   share one cache and identical vectors;
 * **attach safety** — a read-only arena attach is digest-verified and refuses
@@ -39,9 +39,7 @@ SEED_RULE = "best way to get to"
 def serving_config(tmp_path=None, budget=5, **overrides) -> DarwinConfig:
     index = IndexConfig()
     if tmp_path is not None:
-        index = IndexConfig(
-            coverage_backend="arena", arena_path=str(tmp_path / "pool.arena")
-        )
+        index = IndexConfig(arena_path=str(tmp_path / "pool.arena"))
     return DarwinConfig(
         budget=budget,
         num_candidates=250,
@@ -55,7 +53,7 @@ def serving_config(tmp_path=None, budget=5, **overrides) -> DarwinConfig:
 @pytest.fixture()
 def shared_base(tmp_path) -> CoverageStore:
     """A small arena-backed base store, frozen read-only (the pool shape)."""
-    store = CoverageStore(backend="arena", path=str(tmp_path / "base.arena"))
+    store = CoverageStore(path=str(tmp_path / "base.arena"))
     store.intern([1, 2, 3])
     store.intern([5, 9])
     store.intern(np.arange(0, 64, 2, dtype=np.int32))
@@ -115,7 +113,7 @@ class TestOverlayStore:
         bundle = ArrayBundle()
         state = overlay.to_state(bundle)
         assert state["backend"] == "overlay"
-        assert state["base"]["backend"] == "arena"
+        assert "values" not in state["base"]  # a reference, not a copy
         assert state["base"]["arena"]["digest"] == shared_base.arena.digest
         assert state["base"]["arena"]["read_only"] is True
 
@@ -147,7 +145,7 @@ class TestOverlayStore:
 
 
 class TestOverlayInterleavingProperty:
-    """The overlay extension of the arena==memory hypothesis property."""
+    """The overlay extension of the arena-vs-Python-sets hypothesis property."""
 
     @given(
         ops=st.lists(
@@ -163,7 +161,7 @@ class TestOverlayInterleavingProperty:
         self, tmp_path_factory, ops
     ):
         tmp = tmp_path_factory.mktemp("overlay-prop")
-        base = CoverageStore(backend="arena", path=str(tmp / "base.arena"))
+        base = CoverageStore(path=str(tmp / "base.arena"))
         base.intern([1, 2, 3])
         base.intern(list(range(0, 100, 5)))
         base.flush()
@@ -172,7 +170,7 @@ class TestOverlayInterleavingProperty:
         base_count = base.num_interned
 
         overlays = [OverlayCoverageStore(base), OverlayCoverageStore(base)]
-        # Reference: each tenant replayed against its own solo memory store
+        # Reference: each tenant replayed against its own solo store
         # seeded with the same shared coverages.
         solos = []
         for _ in range(2):
@@ -352,13 +350,6 @@ class TestTenantPool:
                 seeds={"rule_texts": [SEED_RULE]},
             )
 
-    def test_memory_backend_rejects_expected_digest(self, serving_corpus):
-        with pytest.raises(ConfigurationError, match="arena-backed"):
-            TenantPool(
-                serving_corpus, serving_config(budget=4),
-                expected_digest="0" * 32,
-            )
-
     def test_tenant_checkpoint_references_shared_arena(
         self, tmp_path, serving_corpus
     ):
@@ -376,7 +367,7 @@ class TestTenantPool:
             tenant.run(budget=3)
             checkpoint = tenant.save(str(tmp_path / "tenant.npz"))
             summary = DarwinEngine.describe_checkpoint(checkpoint)
-            assert summary["coverage_backend"] == "overlay"
+            assert summary["coverage_checkpoint"] == "overlay"
             assert summary["arena"]["path"] == str(tmp_path / "pool.arena")
             assert summary["arena"]["digest"] == pool.arena_digest
             # No shared column is re-serialized into the checkpoint.
