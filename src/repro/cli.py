@@ -391,7 +391,7 @@ def _command_resume(args: argparse.Namespace) -> int:
     engine = DarwinEngine.load(args.checkpoint)
     print(f"resuming {args.checkpoint}: {engine.questions_asked} questions "
           f"already answered, budget "
-          f"{args.budget or engine.config.budget}")
+          f"{engine.config.budget if args.budget is None else args.budget}")
     result = engine.run(
         budget=args.budget,
         checkpoint_every=args.checkpoint_every,

@@ -174,8 +174,10 @@ class DarwinConfig:
             (see :data:`repro.engine.registry.ORACLES`).
         classifier: Nested :class:`ClassifierConfig` (its ``model`` field is a
             :data:`repro.engine.registry.CLASSIFIERS` name).
-        index: Nested :class:`IndexConfig` selecting where interned coverage
-            columns live (``memory`` or the memory-mapped ``arena`` backend).
+        index: Nested :class:`IndexConfig` placing the memory-mapped
+            coverage arena: a temporary file (default; checkpoints carry its
+            columns inline) or a durable ``arena_path`` that checkpoints
+            reference.
         seed: Seed for all stochastic tie-breaking inside the search.
     """
 
@@ -479,7 +481,10 @@ class FleetConfig:
     Attributes:
         workers: Number of worker processes. Each worker reopens the shared
             :class:`~repro.index.arena.CoverageArena` file read-only by path
-            after spawn and hosts a partition of the tenants.
+            after spawn and hosts a partition of the tenants. All workers
+            share one ``multiprocessing.shared_memory`` feature slab, so each
+            sentence's feature vector is computed once per *machine* rather
+            than once per process.
         start_method: ``multiprocessing`` start method. ``"fork"`` (default)
             lets workers inherit the built index/corpus substrate
             copy-on-write — only per-tenant state is private per process;
@@ -497,10 +502,6 @@ class FleetConfig:
             respawned and its tenants restored from their last checkpoints.
         call_timeout_s: Upper bound one supervisor→worker RPC may take
             before the worker is declared wedged (kill + respawn).
-        shared_feature_slab: Back the workers' shared feature cache with one
-            ``multiprocessing.shared_memory`` vector slab, so each sentence's
-            feature vector is computed once per *machine* rather than once
-            per process.
     """
 
     workers: int = 4
@@ -509,7 +510,6 @@ class FleetConfig:
     checkpoint_every_commits: int = 8
     heartbeat_s: float = 1.0
     call_timeout_s: float = 120.0
-    shared_feature_slab: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):

@@ -476,11 +476,6 @@ class Darwin:
         )
         return [coverage[i] for i in sorted(chosen)]
 
-    def _sample_for_query(self, rule: LabelingHeuristic) -> List[int]:
-        """Deprecated alias of :meth:`sample_for_query` (kept for callers that
-        predate the public name)."""
-        return self.sample_for_query(rule)
-
     # ------------------------------------------------------------------- step
     def propose_next(self) -> Optional[LabelingHeuristic]:
         """The next rule Darwin would submit to the oracle (None if exhausted).
@@ -767,19 +762,21 @@ class Darwin:
             oracle: The rule verifier (wrapped in a budget tracker here).
             seed_rules / seed_rule_texts / seed_positive_ids: Seeds; see
                 :meth:`start`.
-            budget: Overrides ``config.budget`` when given.
+            budget: Overrides ``config.budget`` when given; must be positive.
             evaluation_positive_ids: Ground-truth positives used only for the
                 history records (defaults to the corpus labels when present).
 
         Returns:
             A :class:`DarwinResult` with the accepted rules and history.
         """
+        if budget is not None and budget < 1:
+            raise ConfigurationError("budget must be positive")
         self.start(
             seed_rules=seed_rules,
             seed_rule_texts=seed_rule_texts,
             seed_positive_ids=seed_positive_ids,
         )
-        query_budget = budget or self.config.budget
+        query_budget = self.config.budget if budget is None else budget
         if isinstance(oracle, BudgetedOracle):
             # A pre-wrapped oracle carries its own budget, which may disagree
             # with budget/config.budget; honour the tighter of the two so the
@@ -792,7 +789,7 @@ class Darwin:
             rule = self.propose_next()
             if rule is None:
                 break
-            samples = self._sample_for_query(rule)
+            samples = self.sample_for_query(rule)
             try:
                 with self._phase("oracle_answer"):
                     answer = budgeted.ask(rule, samples)

@@ -46,10 +46,11 @@ class LabelingSession:
 
     Args:
         darwin: The Darwin instance to drive (started here from the seeds).
-        budget: Maximum questions for this session. Reconciled against
-            ``darwin.config.budget`` (and, when ``oracle`` is a pre-wrapped
-            :class:`BudgetedOracle`, against its remaining budget) by taking
-            the tightest bound, so no component can out-ask another.
+        budget: Maximum questions for this session; must be positive when
+            given (default: what the config budget has left). Reconciled
+            against ``darwin.config.budget`` (and, when ``oracle`` is a
+            pre-wrapped :class:`BudgetedOracle`, against its remaining budget)
+            by taking the tightest bound, so no component can out-ask another.
         oracle: Optional auto-answering oracle; when given,
             :meth:`submit_answer` may be called without an argument.
         seed_rule_texts / seed_rules / seed_positive_ids: Seeds; see
@@ -69,6 +70,8 @@ class LabelingSession:
     ) -> None:
         from ..crowd.coordinator import CrowdCoordinator
 
+        if budget is not None and budget < 1:
+            raise ConfigurationError("budget must be positive")
         self.darwin = darwin
         self.oracle = oracle
         self._pending: Optional[PendingQuestion] = None
@@ -89,7 +92,9 @@ class LabelingSession:
         # what the config budget has left after the questions already in the
         # run's history, so resuming can never out-ask the original budget.
         config_remaining = max(0, darwin.config.budget - len(darwin.history))
-        session_budget = min(budget or config_remaining, config_remaining)
+        session_budget = min(
+            config_remaining if budget is None else budget, config_remaining
+        )
         if isinstance(oracle, BudgetedOracle):
             session_budget = min(session_budget, oracle.remaining)
         if session_budget <= 0:

@@ -305,7 +305,7 @@ class DarwinEngine:
         Args:
             oracle: Answering oracle (default: :meth:`build_oracle`).
             budget: Total question budget including already-answered ones
-                (default ``config.budget``).
+                (default ``config.budget``); must be positive.
             seed_rules / seed_rule_texts / seed_positive_ids: Seeds for a
                 fresh engine (ignored when already started).
             evaluation_positive_ids: Ground truth for history records.
@@ -319,6 +319,8 @@ class DarwinEngine:
                 registry with :func:`repro.obs.enable` first, or the snapshot
                 records only that metrics were disabled).
         """
+        if budget is not None and budget < 1:
+            raise ConfigurationError("budget must be positive")
         if not self.started:
             self.start(
                 seed_rules=seed_rules,
@@ -334,7 +336,7 @@ class DarwinEngine:
             # so its answering state lands in subsequent checkpoints.
             self._oracle = oracle
         oracle = self.oracle
-        total_budget = budget or self.config.budget
+        total_budget = self.config.budget if budget is None else budget
         darwin = self.darwin
         saved_at = -1
         while len(darwin.history) < total_budget:

@@ -142,11 +142,10 @@ class FleetSupervisor:
             seed=self.config.classifier.seed,
             cache=SharedFeatureCache(),
         )
-        if self.fleet.shared_feature_slab:
-            self.slab = SharedMemorySlab.create(
-                len(self.corpus), featurizer.vector_dim
-            )
-            featurizer.cache.attach_slab(self.slab)
+        self.slab = SharedMemorySlab.create(
+            len(self.corpus), featurizer.vector_dim
+        )
+        featurizer.cache.attach_slab(self.slab)
         self._index = index
         self._featurizer = featurizer
         if self.fleet.start_method != "fork":
@@ -210,7 +209,7 @@ class FleetSupervisor:
             # travels inside the substrate manifest.
             spec.update(
                 substrate_path=self._substrate_path,
-                slab=self.slab.spec() if self.slab is not None else None,
+                slab=self.slab.spec(),
             )
         return spec
 

@@ -100,14 +100,11 @@ def _build_pool(spec: Dict[str, Any]) -> TenantPool:
     corpus = load_dataset(dataset_spec["name"], **dataset_spec.get("options", {}))
     grammars = _build_grammars(config, {})
     index = CorpusIndex.from_state(manifest["index"], bundle, grammars)
-    slab = (
-        SharedMemorySlab.attach(spec["slab"]) if spec.get("slab") else None
-    )
     featurizer = SentenceFeaturizer.fit(
         corpus,
         embedding_dim=config.classifier.embedding_dim,
         seed=config.classifier.seed,
-        cache=SharedFeatureCache(slab=slab),
+        cache=SharedFeatureCache(slab=SharedMemorySlab.attach(spec["slab"])),
     )
     return TenantPool(
         corpus,

@@ -473,12 +473,11 @@ class CoverageArena:
 
         This is the column-concatenation primitive: the arrays become one
         contiguous values segment, and the offsets column is extended by
-        rebasing each array's extent onto the current ``num_values`` — the
-        same operation the parallel index build uses to fold shard arenas
-        into the final arena. The batch self-commits (footer + header are
-        rewritten before returning), so the file is consistent between any
-        two appends; only a crash *inside* this call corrupts the arena,
-        and that corruption is detected loudly by the next :meth:`open`.
+        rebasing each array's extent onto the current ``num_values``. The
+        batch self-commits (footer + header are rewritten before returning),
+        so the file is consistent between any two appends; only a crash
+        *inside* this call corrupts the arena, and that corruption is
+        detected loudly by the next :meth:`open`.
         """
         if not arrays:
             return []
@@ -508,15 +507,6 @@ class CoverageArena:
         self._dirty = True
         self.flush()
         return slots
-
-    def append_from(self, other: "CoverageArena", slots: Sequence[int]) -> List[int]:
-        """Concatenate the given ``other``-arena slots into this arena.
-
-        Returns the new slot indices, in order. Used by the parallel build to
-        merge shard arenas: each shard contributes one segment of values,
-        with offsets rebased onto this arena's current extent.
-        """
-        return self.append_many([other.values_slice(slot) for slot in slots])
 
     # ------------------------------------------------------------ persistence
     def flush(self) -> None:

@@ -375,9 +375,9 @@ class CoverageStore:
 
         All new coverages are appended as **one** contiguous values segment
         (column concatenation, offsets rebased onto the current extent) —
-        this is what :meth:`CorpusIndex.seal`, the parallel shard-arena merge
-        and :meth:`from_state` call, keeping the number of file writes
-        O(batches) instead of O(coverages).
+        this is what :meth:`CorpusIndex.seal` and :meth:`from_state` call,
+        keeping the number of file writes O(batches) instead of
+        O(coverages).
         """
         resolved: List[Optional[CoverageView]] = []
         keys: List[Optional[bytes]] = []

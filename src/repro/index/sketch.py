@@ -1,9 +1,10 @@
 """Derivation sketches (Section 3.1).
 
 A derivation sketch summarizes, for one sentence, all heuristics (up to a
-bounded number of derivation steps) that the sentence satisfies. Sketches are
-merged into the corpus index; keeping them as standalone objects also lets the
-index be built in parallel chunks and merged, as described in the paper.
+bounded number of derivation steps) that the sentence satisfies.
+:meth:`~repro.index.trie_index.CorpusIndex.build` builds one sketch per
+sentence and folds it into the corpus index with
+:meth:`~repro.index.trie_index.CorpusIndex.add_sketch`.
 """
 
 from __future__ import annotations

@@ -9,12 +9,9 @@ represents one heuristic expression and stores
   the index) and parents (generalizations present in the index).
 
 Construction is linear in the number of sentences because the sketch of each
-sentence is bounded (``max_depth`` derivation steps). Sketches can be built for
-corpus chunks independently and merged, mirroring the parallel construction
-the paper describes; :meth:`CorpusIndex.merge` implements the merge step and
-applies the same pruning as a direct build, so chunked and monolithic
-construction produce identical indexes (as long as chunks are built without
-per-chunk pruning — see :meth:`CorpusIndex.merge`).
+sentence is bounded (``max_depth`` derivation steps): :meth:`CorpusIndex.build`
+folds the sketches in one serial pass, links parents and children, prunes
+keys below ``min_coverage`` and seals the result.
 
 Coverage storage is columnar: while an index is under construction each node
 accumulates a plain Python set, but once built the index is *sealed* — every
@@ -27,9 +24,6 @@ inverted map) instead of the whole index.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -39,7 +33,6 @@ from ..errors import CorpusIndexError
 from ..grammars.base import Expression, HeuristicGrammar
 from ..rules.heuristic import LabelingHeuristic
 from ..text.corpus import Corpus
-from .arena import CoverageArena
 from .coverage import CoverageStore, CoverageView
 from .nodetable import NodeTable, lexicographic_ranks
 from .sketch import DerivationSketch, SketchKey, build_sketch
@@ -49,33 +42,6 @@ ROOT_KEY: SketchKey = ("*", "*")
 
 CoverageIds = Union[Set[int], CoverageView]
 """A node's inverted list: a mutable set while building, a view once sealed."""
-
-
-def _build_chunk_arena(job) -> Tuple[List[Tuple[SketchKey, int, int]], int]:
-    """Worker for :meth:`CorpusIndex.build_parallel`: one shard arena.
-
-    Module-level so multiprocessing can pickle it. Sketches one corpus shard
-    (a plain sentence list with global sentence ids, so shards merge without
-    renumbering) into an unpruned chunk index whose own store is the **shard
-    arena** at the given path, interns every node's coverage there, and
-    returns a lightweight payload — ``(key, depth, shard slot)`` per node
-    plus the sentence count — instead of pickling the whole chunk index back
-    to the driver. The driver merges the shard arenas into the final arena by
-    column concatenation with offset rebase.
-    """
-    sentences, grammars, max_depth, shard_path = job
-    index = CorpusIndex(
-        grammars, max_depth=max_depth, min_coverage=1, arena_path=shard_path
-    )
-    for sentence in sentences:
-        index.add_sketch(build_sketch(sentence, grammars, max_depth))
-    nodes = list(index.nodes.values())  # root included: the driver unions it
-    views = index.store.intern_many([node.sentence_ids for node in nodes])
-    records = [
-        (node.key, node.depth, view.slot) for node, view in zip(nodes, views)
-    ]
-    index.store.close()
-    return records, index._num_sentences
 
 
 @dataclass
@@ -118,8 +84,8 @@ class CorpusIndex:
         grammars: The heuristic grammars indexed. Expressions are only
             interpreted by the grammar that produced them.
         max_depth: Sketch depth bound used at build time.
-        min_coverage: Pruning threshold re-applied by :meth:`merge` so chunked
-            construction matches a direct :meth:`build`.
+        min_coverage: Keys covering fewer sentences are pruned by
+            :meth:`build` once every sketch has been added.
         arena_path: Arena file for the interned coverage columns (see
             :class:`~repro.index.coverage.CoverageStore`). ``None`` creates a
             temporary file, whose columns checkpoints carry inline; a real
@@ -153,7 +119,6 @@ class CorpusIndex:
             ROOT_KEY: IndexNode(key=ROOT_KEY, depth=0)
         }
         self._num_sentences = 0
-        self._built = False
         self._sealed = False
         # CSR-layout inverted map (sentence id → node indices), built at seal
         # time: _inv_nodes[_inv_starts[sid]:_inv_starts[sid+1]] are the
@@ -196,7 +161,6 @@ class CorpusIndex:
         index.link_structure()
         if min_coverage > 1:
             index.prune(min_coverage)
-        index._built = True
         index.seal()
         return index
 
@@ -213,186 +177,6 @@ class CorpusIndex:
                 node = IndexNode(key=key, depth=depth)
                 self.nodes[key] = node
             node.sentence_ids.add(sketch.sentence_id)
-
-    @classmethod
-    def build_parallel(
-        cls,
-        corpus: Corpus,
-        grammars: Sequence[HeuristicGrammar],
-        max_depth: int = 10,
-        min_coverage: int = 1,
-        num_chunks: int = 4,
-        arena_path: Optional[str] = None,
-    ) -> "CorpusIndex":
-        """Build the index over ``num_chunks`` corpus shards in parallel.
-
-        Each shard is sketched by a worker process into an unpruned
-        (``min_coverage=1`` — per-chunk pruning would lose keys that only
-        clear the threshold globally; see :meth:`merge`) **shard arena**,
-        returning only ``(key, depth, slot)`` records. The driver folds the
-        shard arenas into the final arena by column concatenation with
-        offset rebase (keys unique to one shard, the common case for deep
-        keys, are bulk-copied as one contiguous segment per shard), interns
-        the union coverage for keys that appear in several shards, and
-        applies the final pruning once, so the result is identical to a
-        serial :meth:`build`. The shard files are deleted afterwards.
-
-        Shard sentence-id ranges are consecutive and increasing (the shards
-        are corpus slices), so the union of a key's per-shard coverages is
-        the plain concatenation of its shard slices in shard order — already
-        sorted, no re-sort needed.
-
-        Falls back to a serial build when ``num_chunks <= 1``, the corpus is
-        smaller than the chunk count, or no worker pool can be started (e.g.
-        sandboxed environments without fork support).
-        """
-        sentences = list(corpus)
-        if num_chunks <= 1 or len(sentences) < max(2, num_chunks):
-            return cls.build(
-                corpus,
-                grammars,
-                max_depth=max_depth,
-                min_coverage=min_coverage,
-                arena_path=arena_path,
-            )
-        bounds = np.linspace(0, len(sentences), num_chunks + 1).astype(int)
-        shards = [
-            sentences[bounds[i]:bounds[i + 1]]
-            for i in range(num_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        scratch = tempfile.mkdtemp(prefix="repro-arena-shards-")
-        shard_arenas: List[CoverageArena] = []
-        try:
-            jobs = [
-                (shard, list(grammars), max_depth,
-                 os.path.join(scratch, f"shard{position}.arena"))
-                for position, shard in enumerate(shards)
-            ]
-            try:
-                import multiprocessing
-
-                with multiprocessing.Pool(
-                    processes=min(len(jobs), os.cpu_count() or 1)
-                ) as pool:
-                    payloads = pool.map(_build_chunk_arena, jobs)
-            except (ImportError, OSError, PermissionError):
-                payloads = [_build_chunk_arena(job) for job in jobs]
-
-            index = cls(
-                grammars,
-                max_depth=max_depth,
-                min_coverage=min_coverage,
-                arena_path=arena_path,
-            )
-            store = index.store
-            shard_arenas = [CoverageArena.open(job[3]) for job in jobs]
-            total_sentences = sum(count for _, count in payloads)
-            store.ensure_universe(total_sentences)
-
-            # key → per-shard occurrences, in shard order.
-            occurrences: Dict[SketchKey, List[Tuple[int, int]]] = {}
-            depths: Dict[SketchKey, int] = {}
-            for shard_position, (records, _) in enumerate(payloads):
-                for key, depth, slot in records:
-                    occurrences.setdefault(key, []).append((shard_position, slot))
-                    depths[key] = depth
-
-            views: Dict[SketchKey, CoverageView] = {}
-            # Keys owned by exactly one shard: copy each shard's column slices
-            # into the final arena as one contiguous segment (concatenation +
-            # offset rebase) via a single bulk append per shard.
-            for shard_position, arena in enumerate(shard_arenas):
-                owned = [
-                    (key, occ[0][1])
-                    for key, occ in occurrences.items()
-                    if len(occ) == 1 and occ[0][0] == shard_position
-                ]
-                owned_views = store.intern_many(
-                    [arena.values_slice(slot) for _, slot in owned]
-                )
-                for (key, _), view in zip(owned, owned_views):
-                    views[key] = view
-            # Keys spanning shards (the root always does): concatenate the
-            # shard slices — disjoint, increasing id ranges — and intern.
-            spanning = [
-                key for key, occ in occurrences.items() if len(occ) > 1
-            ]
-            spanning_views = store.intern_many(
-                [
-                    np.concatenate(
-                        [
-                            shard_arenas[shard].values_slice(slot)
-                            for shard, slot in occurrences[key]
-                        ]
-                    )
-                    for key in spanning
-                ]
-            )
-            views.update(zip(spanning, spanning_views))
-
-            root = index.nodes[ROOT_KEY]
-            root.sentence_ids = views.get(ROOT_KEY, store.empty)
-            for key, view in views.items():
-                if key == ROOT_KEY:
-                    continue
-                index.nodes[key] = IndexNode(
-                    key=key, depth=depths[key], sentence_ids=view
-                )
-            index._num_sentences = total_sentences
-            index.link_structure()
-            if min_coverage > 1:
-                # Pruned nodes leave their slots behind as dead segments in
-                # the arena file (append-only layout); the columns the index
-                # actually references stay correct.
-                index.prune(min_coverage)
-            index._built = True
-            index._sealed = True
-            index._rebuild_inverted_map()
-            store.flush()
-            return index
-        finally:
-            for arena in shard_arenas:
-                arena.close()
-            shutil.rmtree(scratch, ignore_errors=True)
-
-    def merge(self, other: "CorpusIndex") -> "CorpusIndex":
-        """Merge another chunk index into this one (parallel construction).
-
-        The merged index re-applies ``min_coverage`` pruning and is marked
-        built and sealed, so a chunked build is indistinguishable from a
-        direct :meth:`build` over the concatenated corpus **provided the
-        chunks themselves were not pruned** (build them with
-        ``min_coverage=1`` or drive :meth:`add_sketch` directly, as the
-        tests do). A key below the threshold in every chunk but above it
-        globally cannot be recovered once per-chunk pruning dropped it.
-        Interned arrays make the merge cheap: per node it is one
-        sorted-array union instead of re-hashing every sentence id.
-
-        Args:
-            other: The chunk index to union in.
-        """
-        if set(self.grammars) != set(other.grammars):
-            raise CorpusIndexError("cannot merge indexes over different grammars")
-        if self._sealed:
-            self._unseal()
-        for key, node in other.nodes.items():
-            mine = self.nodes.get(key)
-            theirs = node.sentence_ids
-            if mine is None:
-                self.nodes[key] = IndexNode(
-                    key=key, depth=node.depth, sentence_ids=set(theirs)
-                )
-            else:
-                mine.sentence_ids.update(theirs)
-        self._num_sentences += other._num_sentences
-        self.min_coverage = max(self.min_coverage, other.min_coverage)
-        self.link_structure()
-        if self.min_coverage > 1:
-            self.prune(self.min_coverage)
-        self._built = True
-        self.seal()
-        return self
 
     def link_structure(self) -> None:
         """(Re)compute parent/child links via grammar generalizations."""
@@ -456,9 +240,9 @@ class CorpusIndex:
     def seal(self) -> None:
         """Intern every node's coverage and build the sentence→keys map.
 
-        Idempotent. Called automatically at the end of :meth:`build` and
-        :meth:`merge`; call it manually after driving :meth:`add_sketch` /
-        :meth:`link_structure` by hand to enable the columnar fast paths.
+        Idempotent. Called automatically at the end of :meth:`build`; call
+        it manually after driving :meth:`add_sketch` / :meth:`link_structure`
+        by hand to enable the columnar fast paths.
         """
         if self._sealed:
             return
@@ -739,7 +523,7 @@ class CorpusIndex:
         """The ``limit`` keys with the largest coverage counts.
 
         Sealed indexes answer from the memoized rank order (computed once at
-        seal time, invalidated on merge/unseal) instead of re-sorting every
+        seal time, invalidated on unseal) instead of re-sorting every
         key per call; the grammar-filtered orders are cached on first use.
         """
         if limit <= 0:
@@ -921,7 +705,6 @@ class CorpusIndex:
                 key=key, depth=int(record["d"]), sentence_ids=view
             )
         index.link_structure()
-        index._built = True
         index._sealed = True
         index._key_list = [key for key in index.nodes if key != ROOT_KEY]
         index._key_reprs = [repr(key) for key in index._key_list]

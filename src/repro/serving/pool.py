@@ -68,9 +68,6 @@ class SharedIndexView(CorpusIndex):
     def add_sketch(self, sketch) -> None:  # pragma: no cover - guard
         self._refuse("add sketches to")
 
-    def merge(self, other):  # pragma: no cover - guard
-        self._refuse("merge into")
-
     def prune(self, min_coverage: int) -> int:  # pragma: no cover - guard
         self._refuse("prune")
 

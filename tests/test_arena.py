@@ -3,8 +3,8 @@
 Covers the arena file format (create / append / reattach / corruption), the
 :class:`CoverageStore` over it (zero-copy views, digest-verified checkpoint
 references, inline checkpoints of temporary arenas, the
-``num_interned``-vs-offsets validation bugfix), index builds (serial and
-sharded parallel) checked against plain-Python references, and the engine
+``num_interned``-vs-offsets validation bugfix), index builds checked
+against plain-Python references, and the engine
 checkpoint/resume path for both arena placements.
 """
 
@@ -313,25 +313,6 @@ class TestArenaIndex:
             example1_corpus, [tokensregex], max_depth=6, arena_path=path
         )
         assert again.store.num_interned == index.store.num_interned
-
-    def test_parallel_build_matches_serial(self, tmp_path, directions_corpus):
-        grammar = TokensRegexGrammar(max_phrase_len=4)
-        serial = CorpusIndex.build(
-            directions_corpus, [grammar], max_depth=10, min_coverage=2
-        )
-        parallel = CorpusIndex.build_parallel(
-            directions_corpus, [TokensRegexGrammar(max_phrase_len=4)],
-            max_depth=10, min_coverage=2, num_chunks=3,
-            arena_path=str(tmp_path / "parallel.arena"),
-        )
-        assert parallel.store.arena.path == str(tmp_path / "parallel.arena")
-        assert set(serial.nodes) == set(parallel.nodes)
-        for key in serial.nodes:
-            assert (
-                list(serial.nodes[key].sentence_ids)
-                == list(parallel.nodes[key].sentence_ids)
-            )
-        assert serial.num_sentences == parallel.num_sentences
 
 
 ENGINE_SPEC = {

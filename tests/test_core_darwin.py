@@ -14,6 +14,7 @@ from repro.core.darwin import Darwin, DarwinResult
 from repro.core.oracle import GroundTruthOracle
 from repro.core.score_update import ScoreUpdater
 from repro.core.session import LabelingSession
+from repro.engine import DarwinEngine
 from repro.errors import ConfigurationError
 from repro.rules.heuristic import LabelingHeuristic
 
@@ -201,6 +202,30 @@ class TestDarwinValidation:
         result = darwin.run(wrapped, seed_rule_texts=["best way to get to"], budget=2)
         assert result.queries_used <= 2
         assert wrapped.queries_used <= 2
+
+    @pytest.mark.parametrize("entry_point", ["darwin", "engine", "session"])
+    def test_zero_budget_rejected(self, entry_point, directions_corpus, directions_index,
+                                  directions_featurizer, fast_config):
+        """Regression: ``budget=0`` used to fall back to ``config.budget``
+        (``budget or config.budget``) and ask the whole config budget."""
+        oracle = GroundTruthOracle(directions_corpus)
+        seeds = ["best way to get to"]
+        components = dict(config=fast_config, index=directions_index,
+                          featurizer=directions_featurizer)
+        with pytest.raises(ConfigurationError, match="budget"):
+            if entry_point == "darwin":
+                Darwin(directions_corpus, **components).run(
+                    oracle, seed_rule_texts=seeds, budget=0
+                )
+            elif entry_point == "engine":
+                DarwinEngine(directions_corpus, **components).run(
+                    oracle, budget=0, seed_rule_texts=seeds
+                )
+            else:
+                LabelingSession(
+                    Darwin(directions_corpus, **components), budget=0,
+                    seed_rule_texts=seeds, oracle=oracle,
+                )
 
     def test_incremental_and_full_refresh_both_work(self, directions_corpus, placed_directions_index,
                                                     directions_featurizer):

@@ -465,4 +465,3 @@ class TestSampleForQuery:
         sample = darwin.sample_for_query(rule)
         assert 0 < len(sample) <= darwin.config.oracle_sample_size
         assert set(sample) <= set(rule.coverage)
-        assert darwin._sample_for_query(rule) is not None  # alias kept

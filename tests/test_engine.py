@@ -1,5 +1,5 @@
 """Tests for the declarative engine API: registries, config construction,
-checkpoint/resume state protocol, and the parallel index build.
+the checkpoint/resume state protocol and engine sessions.
 
 The construction and checkpoint/resume suites run on both arena placements
 through the shared ``placed_index_spec`` conftest fixture, so the replay
@@ -32,7 +32,6 @@ from repro.engine.state import (
 )
 from repro.errors import ConfigurationError
 from repro.grammars import TokensRegexGrammar
-from repro.index import CorpusIndex
 
 
 def engine_spec(dataset: str, seed_rule: str, budget: int = 12) -> dict:
@@ -416,36 +415,6 @@ class TestEngineSessions:
         assert summary["questions_asked"] == 3
         assert summary["dataset"]["name"] == "directions"
         assert "darwin/trainer/scores" in summary["arrays"]
-
-
-class TestParallelIndexBuild:
-    def test_parallel_build_equals_serial(self):
-        corpus = load_dataset("directions", num_sentences=300, seed=5,
-                              parse_trees=False)
-        grammars = [TokensRegexGrammar(max_phrase_len=3)]
-        serial = CorpusIndex.build(corpus, grammars, max_depth=6, min_coverage=2)
-        parallel = CorpusIndex.build_parallel(
-            corpus, grammars, max_depth=6, min_coverage=2, num_chunks=3
-        )
-        assert set(serial.nodes) == set(parallel.nodes)
-        for key, node in serial.nodes.items():
-            other = parallel.nodes[key]
-            assert set(node.sentence_ids) == set(other.sentence_ids)
-            assert node.children == other.children
-            assert node.parents == other.parents
-        assert serial.num_sentences == parallel.num_sentences
-        query = corpus.positive_ids()
-        assert serial.top_by_overlap(query, 10) == parallel.top_by_overlap(query, 10)
-
-    def test_single_chunk_falls_back_to_serial(self):
-        corpus = load_dataset("directions", num_sentences=120, seed=5,
-                              parse_trees=False)
-        grammars = [TokensRegexGrammar(max_phrase_len=3)]
-        index = CorpusIndex.build_parallel(
-            corpus, grammars, max_depth=6, min_coverage=2, num_chunks=1
-        )
-        assert index.sealed
-        assert index.num_sentences == len(corpus)
 
 
 class TestCliVersion:

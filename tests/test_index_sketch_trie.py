@@ -78,48 +78,6 @@ class TestCorpusIndexConstruction:
         for key in pruned.keys():
             assert pruned.count(key) >= 2
 
-    def test_merge_equals_monolithic_build(self, example1_corpus, tokensregex):
-        whole = CorpusIndex.build(example1_corpus, [tokensregex], max_depth=3)
-        left = CorpusIndex(grammars=[tokensregex], max_depth=3)
-        right = CorpusIndex(grammars=[tokensregex], max_depth=3)
-        from repro.index.sketch import build_sketch
-
-        for sentence in example1_corpus:
-            sketch = build_sketch(sentence, [tokensregex], 3)
-            (left if sentence.sentence_id < 3 else right).add_sketch(sketch)
-        left.link_structure()
-        right.link_structure()
-        merged = left.merge(right)
-        assert set(merged.keys()) == set(whole.keys())
-        for key in whole.keys():
-            assert merged.coverage(key) == whole.coverage(key)
-
-    def test_merge_applies_pruning_and_built_flag(self, example1_corpus, tokensregex):
-        """A merged chunk index must match a directly built one even when
-        min_coverage pruning applies (regression: merge used to skip
-        prune() and never set _built)."""
-        whole = CorpusIndex.build(
-            example1_corpus, [tokensregex], max_depth=3, min_coverage=2
-        )
-        left = CorpusIndex(grammars=[tokensregex], max_depth=3, min_coverage=2)
-        right = CorpusIndex(grammars=[tokensregex], max_depth=3, min_coverage=2)
-        from repro.index.sketch import build_sketch
-
-        for sentence in example1_corpus:
-            sketch = build_sketch(sentence, [tokensregex], 3)
-            (left if sentence.sentence_id < 3 else right).add_sketch(sketch)
-        left.link_structure()
-        right.link_structure()
-        merged = left.merge(right)
-        assert merged._built
-        assert merged.sealed
-        assert set(merged.keys()) == set(whole.keys())
-        for key in whole.keys():
-            assert merged.coverage(key) == whole.coverage(key)
-            assert merged.count(key) >= 2
-        for key in whole.keys():
-            assert set(merged.children_of(key)) == set(whole.children_of(key))
-
     def test_sealed_index_hands_out_interned_views(self, example1_index, tokensregex):
         from repro.index.coverage import CoverageView
 
