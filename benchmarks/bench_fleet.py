@@ -9,13 +9,13 @@ Measures what the fleet design claims:
   supervisor plus every worker, so fork-shared pages count once) beats the
   process-isolated alternative: N independent single-process pools each
   carrying their own full substrate. That is the claim the shared arena +
-  shared-memory feature slab + fork CoW actually buy. The ratio against
+  the fork-inherited feature matrix + fork CoW actually buy. The ratio against
   *one* shared-everything pool process is recorded too
   (``machine_rss_ratio``) but not gated at the design target of 1.5x:
   CPython refcounts dirty every substrate heap page a worker touches, so
   copy-on-write unshares the Python-object part of the substrate once per
   process no matter the corpus size (numpy buffers, the arena file, and
-  the feature slab do stay shared — only the object graph unshares),
+  the feature matrix do stay shared — only the object graph unshares),
 * **throughput** — committed answers/sec with the tenants partitioned
   across worker processes versus multiplexed in one process. The >= 2.5x
   speedup acceptance bar needs real cores; on machines with fewer than 4

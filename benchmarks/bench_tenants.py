@@ -6,7 +6,7 @@ Measures what the tenant-pool design claims:
   identical to a solo engine with the same config (tenancy is a packaging
   change, never a behavioural one),
 * **sublinear memory** — the shared substrate (read-only arena residency,
-  CSR inverted map, feature cache) exists once per pool: its resident bytes
+  CSR inverted map, frozen feature matrix) exists once per pool: its resident bytes
   at N tenants must stay below 1.3x the single-tenant pool (the acceptance
   bound, enforced here *and* relative-gated in CI via
   ``benchmarks/check_regression.py``), while per-tenant overlays stay small,
@@ -109,7 +109,7 @@ def run_pool_arm(
             ]
             for tenant_id, result in report.results.items()
         }
-        cache = pool.featurizer.cache.stats()
+        cache = pool.featurizer.stats()
     return {
         "arm": f"pool-{tenants}",
         "tenants": tenants,

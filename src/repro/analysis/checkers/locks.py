@@ -1,8 +1,8 @@
 """RPR004 — lock discipline: guarded state stays guarded everywhere.
 
-``MetricsRegistry`` and ``SharedFeatureCache`` are mutated from concurrent
-tenants; each owns a ``threading.Lock``/``RLock``
-and wraps its mutations in ``with self._lock:``. The failure mode this
+``MetricsRegistry`` and ``SentenceFeaturizer`` (its one-time feature-store
+build and row counters) are mutated from concurrent tenants; each owns a
+``threading.Lock``/``RLock`` and wraps its mutations in ``with self._lock:``. The failure mode this
 checker targets is *partial* discipline: one method mutates an attribute
 under the lock, another mutates the same attribute bare, and the race only
 shows up as a lost update or a torn snapshot under load.

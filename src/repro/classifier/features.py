@@ -9,14 +9,17 @@ Here the featurizer supports both views:
 * :meth:`SentenceFeaturizer.matrix` — the padded ``(max_len, dim)`` embedding
   matrix used by the CNN.
 
-Feature matrices for a whole corpus are cached because Darwin re-scores every
-sentence after each retrain (the paper's main efficiency bottleneck).
+Darwin re-scores every sentence after each retrain (the paper's main
+efficiency bottleneck), so the featurizer keeps one frozen feature store for
+the corpus it was fit on: a read-only ``(N, d)`` matrix (and, for the CNN, a
+read-only ``(N, max_len, dim)`` tensor), built once on first use from the
+per-sentence methods above. Batch calls gather rows from it by sentence id.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -26,306 +29,6 @@ from ..text.sentence import Sentence
 from ..utils.rng import stable_hash
 
 _SURFACE_FEATURES = 4
-
-_SLAB_DTYPE = np.dtype(np.float64)
-
-
-class SharedMemorySlab:
-    """A cross-process sentence→feature-vector slab in shared memory.
-
-    One ``multiprocessing.shared_memory`` segment holds a dense
-    ``(num_vectors, dim)`` float64 block plus one ``uint8`` ready flag per
-    row. Worker processes of a :class:`repro.fleet` deployment attach the
-    same segment, so each sentence's feature vector is computed once per
-    *machine* instead of once per process.
-
-    Concurrency contract: feature vectors are pure functions of the shared
-    immutable corpus and the shared fitted embeddings, so two processes
-    racing on the same row write byte-identical data. Writers store the row
-    first and set the flag last; readers trust a row only once its flag is
-    set — a torn read is therefore impossible and no cross-process lock is
-    needed.
-    """
-
-    def __init__(self, shm, num_vectors: int, dim: int, owner: bool) -> None:
-        self._shm = shm
-        self.num_vectors = int(num_vectors)
-        self.dim = int(dim)
-        self._owner = owner
-        data_bytes = self.num_vectors * self.dim * _SLAB_DTYPE.itemsize
-        self._data = np.ndarray(
-            (self.num_vectors, self.dim), dtype=_SLAB_DTYPE, buffer=shm.buf
-        )
-        self._flags = np.ndarray(
-            (self.num_vectors,), dtype=np.uint8, buffer=shm.buf, offset=data_bytes
-        )
-
-    # -------------------------------------------------------------- lifecycle
-    @classmethod
-    def create(cls, num_vectors: int, dim: int) -> "SharedMemorySlab":
-        """Allocate a fresh zeroed slab (the supervisor side; owns unlink)."""
-        from multiprocessing import shared_memory
-
-        if num_vectors <= 0 or dim <= 0:
-            raise ValueError("num_vectors and dim must be positive")
-        size = num_vectors * dim * _SLAB_DTYPE.itemsize + num_vectors
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        slab = cls(shm, num_vectors, dim, owner=True)
-        slab._flags[:] = 0
-        return slab
-
-    @classmethod
-    def attach(cls, spec: Dict[str, int]) -> "SharedMemorySlab":
-        """Attach an existing slab by its :meth:`spec` (the worker side)."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=str(spec["name"]), create=False)
-        # Pre-3.13 SharedMemory registers attaches with the resource tracker
-        # too. That is safe here — fleet children share the supervisor's
-        # tracker process, whose cache is a set (duplicate registrations
-        # collapse), and only the creator ever unlinks — while explicitly
-        # unregistering would race the creator's unlink into tracker
-        # KeyErrors. The tracker reclaiming the segment on abnormal
-        # whole-program exit is leak prevention, not a hazard.
-        return cls(shm, int(spec["num_vectors"]), int(spec["dim"]), owner=False)
-
-    def spec(self) -> Dict[str, object]:
-        """JSON-able attach handle: segment name plus slab geometry."""
-        return {
-            "name": self._shm.name,
-            "num_vectors": self.num_vectors,
-            "dim": self.dim,
-        }
-
-    def close(self) -> None:
-        """Detach this process's mapping (does not free the segment)."""
-        try:
-            self._shm.close()
-        except BufferError:
-            # Live row views still reference the buffer; leave the mapping
-            # to be reclaimed when they die.
-            pass
-
-    def unlink(self) -> None:
-        """Free the segment machine-wide (creator only; idempotent)."""
-        if not self._owner:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
-
-    # ----------------------------------------------------------------- access
-    def get(self, row: int) -> Optional[np.ndarray]:
-        """Read-only view of ``row``'s vector, or None when not yet computed."""
-        if not 0 <= row < self.num_vectors or not self._flags[row]:
-            return None
-        view = self._data[row].view()
-        view.setflags(write=False)
-        return view
-
-    def put(self, row: int, vector: np.ndarray) -> Optional[np.ndarray]:
-        """Store ``row``'s vector (idempotent); None when it does not fit."""
-        if not 0 <= row < self.num_vectors or vector.shape != (self.dim,):
-            return None
-        self._data[row, :] = vector
-        self._flags[row] = 1  # commit point: readers trust the row only now
-        return self.get(row)
-
-    # ------------------------------------------------------------- accounting
-    @property
-    def ready_count(self) -> int:
-        """Rows computed so far (machine-wide)."""
-        return int(np.count_nonzero(self._flags))
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the shared segment (exists once per machine)."""
-        return self._shm.size
-
-
-class SharedFeatureCache:
-    """Sentence-id keyed feature cache shareable between featurizer handles.
-
-    In a multi-tenant pool every tenant re-scores the same corpus after each
-    retrain; the feature vectors are pure functions of the (immutable)
-    sentences and the (shared, fitted) embeddings, so one tenant computing a
-    vector means no other tenant ever should. The pool creates one cache and
-    every tenant's featurizer reads/writes it. Hit/miss counters make the
-    no-double-compute property testable, and a lock keeps get-then-put safe
-    if engines ever featurize from worker threads (the asyncio serve loop is
-    single-threaded, but the cache does not rely on that).
-
-    With a :class:`SharedMemorySlab` attached, vector storage moves into the
-    cross-process shared segment: a vector any fleet worker computed is a hit
-    for every other worker on the machine. Vectors that do not fit the slab
-    (out-of-range sentence id, mismatched dimensionality) and all matrices
-    fall back to the process-local dicts.
-    """
-
-    def __init__(self, slab: Optional["SharedMemorySlab"] = None) -> None:
-        self._vectors: Dict[int, np.ndarray] = {}
-        self._matrices: Dict[int, np.ndarray] = {}
-        self._slab = slab
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._fingerprint: Optional[tuple] = None
-
-    @property
-    def slab(self) -> Optional["SharedMemorySlab"]:
-        """The shared-memory vector slab, when this cache is fleet-backed."""
-        return self._slab
-
-    def attach_slab(self, slab: "SharedMemorySlab") -> None:
-        """Move vector storage into ``slab`` (fleet setup, post-fit).
-
-        The slab is sized by the fitted vector dimensionality, which only
-        exists after :meth:`SentenceFeaturizer.fit` — so the supervisor fits
-        first, then attaches. Already-cached heap vectors stay valid (the
-        heap dict is consulted before the slab); re-attaching raises.
-        """
-        with self._lock:
-            if self._slab is not None:
-                raise ValueError(
-                    "SharedFeatureCache already has a shared-memory slab"
-                )
-            self._slab = slab
-
-    def bind(self, embeddings, max_len: int, bow_dim: int) -> None:
-        """Pin the cache to one feature space; re-binding differently raises.
-
-        Entries are keyed by sentence id alone, so a cache shared between
-        featurizers over *different* embeddings (or different vector shapes)
-        would silently hand one featurizer the other's vectors. Every
-        featurizer binds its (embeddings, max_len, bow_dim) identity on
-        attach; a mismatch is a wiring bug and fails loudly. The embeddings
-        object is held by strong reference and compared by identity — an
-        ``id()`` fingerprint could be silently defeated when CPython reuses
-        a freed object's address.
-        """
-        with self._lock:
-            if self._fingerprint is None:
-                self._fingerprint = (embeddings, max_len, bow_dim)
-                return
-            bound_embeddings, bound_max_len, bound_bow_dim = self._fingerprint
-            if (
-                bound_embeddings is not embeddings
-                or bound_max_len != max_len
-                or bound_bow_dim != bow_dim
-            ):
-                raise ValueError(
-                    "SharedFeatureCache is already bound to a different "
-                    "featurizer configuration; share caches only between "
-                    "featurizers over the same embeddings (use "
-                    "SentenceFeaturizer.sharing_cache())"
-                )
-
-    # ------------------------------------------------------------------ access
-    def get_vector(self, sentence_id: int) -> Optional[np.ndarray]:
-        with self._lock:
-            cached = self._vectors.get(sentence_id)
-            if cached is None and self._slab is not None:
-                cached = self._slab.get(sentence_id)
-            if cached is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-            return cached
-
-    def put_vector(self, sentence_id: int, features: np.ndarray) -> np.ndarray:
-        with self._lock:
-            if self._slab is not None:
-                stored = self._slab.put(sentence_id, features)
-                if stored is not None:
-                    return stored
-            # First writer wins, so every handle sees one canonical array per
-            # sentence even under racing computes. Frozen, because that one
-            # array is shared by every tenant: an in-place mutation would
-            # corrupt the feature pool-wide with no error.
-            features.setflags(write=False)
-            return self._vectors.setdefault(sentence_id, features)
-
-    def get_matrix(self, sentence_id: int) -> Optional[np.ndarray]:
-        with self._lock:
-            cached = self._matrices.get(sentence_id)
-            if cached is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-            return cached
-
-    def put_matrix(self, sentence_id: int, matrix: np.ndarray) -> np.ndarray:
-        with self._lock:
-            matrix.setflags(write=False)
-            return self._matrices.setdefault(sentence_id, matrix)
-
-    # -------------------------------------------------------------- accounting
-    @property
-    def hits(self) -> int:
-        """Lookups answered from the cache."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups that required a fresh feature computation."""
-        return self._misses
-
-    @property
-    def nbytes(self) -> int:
-        """Heap bytes held by the cached arrays (shared once per pool)."""
-        with self._lock:
-            return sum(a.nbytes for a in self._vectors.values()) + sum(
-                a.nbytes for a in self._matrices.values()
-            )
-
-    def stats(self) -> Dict[str, float]:
-        """Counters for benchmarks, the serve loop's memory report, and the
-        pool's metrics collector: hits, misses, entries, nbytes (plus the
-        per-kind breakdown; ``bytes`` is kept as an alias of ``nbytes`` for
-        pre-observability callers)."""
-        with self._lock:
-            nbytes = float(
-                sum(a.nbytes for a in self._vectors.values())
-                + sum(a.nbytes for a in self._matrices.values())
-            )
-            slab_vectors = (
-                float(self._slab.ready_count) if self._slab is not None else 0.0
-            )
-            stats = {
-                "cached_vectors": float(len(self._vectors)) + slab_vectors,
-                "cached_matrices": float(len(self._matrices)),
-                "entries": float(len(self._vectors) + len(self._matrices))
-                + slab_vectors,
-                "hits": float(self._hits),
-                "misses": float(self._misses),
-                "nbytes": nbytes,
-                "bytes": nbytes,
-            }
-            if self._slab is not None:
-                # The slab exists once per machine; report it separately so
-                # per-process residency sums stay honest.
-                stats["slab_vectors"] = slab_vectors
-                stats["slab_nbytes"] = float(self._slab.nbytes)
-            return stats
-
-    def invalidate(self, sentence_ids: Optional[Sequence[int]] = None) -> None:
-        """Drop cached features (all of them when ``sentence_ids`` is None)."""
-        with self._lock:
-            if sentence_ids is None:
-                self._vectors.clear()
-                self._matrices.clear()
-                if self._slab is not None:
-                    self._slab._flags[:] = 0
-                return
-            for sentence_id in sentence_ids:
-                self._vectors.pop(sentence_id, None)
-                self._matrices.pop(sentence_id, None)
-                if (
-                    self._slab is not None
-                    and 0 <= sentence_id < self._slab.num_vectors
-                ):
-                    self._slab._flags[sentence_id] = 0
 
 
 class SentenceFeaturizer:
@@ -339,17 +42,20 @@ class SentenceFeaturizer:
       handful of positives a linear model needs features it can latch onto),
     * a few cheap surface features (length, question mark, digits).
 
+    Batch calls (:meth:`vectors`, :meth:`matrices`, :meth:`corpus_vectors`,
+    :meth:`corpus_matrices`) read the frozen feature store of ``corpus``,
+    which is built on the first such call. The store is read-only, so every
+    tenant of a :class:`~repro.serving.TenantPool` — and every forked fleet
+    worker — shares one featurizer object and computes nothing twice.
+
     Args:
         embeddings: A fitted :class:`EmbeddingModel`. Use
             :meth:`SentenceFeaturizer.fit` to train one from a corpus.
         max_len: Token cut-off for the CNN's embedding matrices.
         bow_dim: Width of the hashed bag-of-words block (0 disables it).
-        cache: A :class:`SharedFeatureCache` to read/write. Pass one cache to
-            several featurizers (or share one featurizer outright) so
-            overlapping workloads — e.g. the tenants of a
-            :class:`~repro.serving.TenantPool` — never compute the same
-            sentence's features twice. Defaults to a private cache, which
-            preserves the old per-featurizer behaviour.
+        corpus: The corpus whose features the batch calls serve (set by
+            :meth:`fit`). Without one only :meth:`vector` / :meth:`matrix`
+            work.
     """
 
     def __init__(
@@ -357,7 +63,7 @@ class SentenceFeaturizer:
         embeddings: EmbeddingModel,
         max_len: int = 30,
         bow_dim: int = 192,
-        cache: Optional[SharedFeatureCache] = None,
+        corpus: Optional[Corpus] = None,
     ) -> None:
         if max_len <= 0:
             raise ValueError("max_len must be positive")
@@ -366,8 +72,11 @@ class SentenceFeaturizer:
         self.embeddings = embeddings
         self.max_len = max_len
         self.bow_dim = bow_dim
-        self.cache = cache if cache is not None else SharedFeatureCache()
-        self.cache.bind(embeddings, max_len, bow_dim)
+        self.corpus = corpus
+        self._lock = threading.Lock()
+        self._store: Dict[str, np.ndarray] = {}
+        self._hits = 0
+        self._misses = 0
 
     @property
     def vector_dim(self) -> int:
@@ -382,34 +91,16 @@ class SentenceFeaturizer:
         max_len: int = 30,
         seed: int = 0,
         bow_dim: int = 192,
-        cache: Optional[SharedFeatureCache] = None,
     ) -> "SentenceFeaturizer":
-        """Train embeddings on ``corpus`` and return a featurizer over them."""
+        """Train embeddings on ``corpus`` and return a featurizer over it."""
         embeddings = build_embeddings(
             (s.tokens for s in corpus), dim=embedding_dim, seed=seed
         )
-        return cls(embeddings, max_len=max_len, bow_dim=bow_dim, cache=cache)
-
-    def sharing_cache(self) -> "SentenceFeaturizer":
-        """A new featurizer handle over the same embeddings *and* cache.
-
-        Handles are what a per-tenant component should own: they share the
-        fitted model and the feature cache (so nothing is recomputed across
-        tenants) without sharing any mutable per-handle state.
-        """
-        return SentenceFeaturizer(
-            self.embeddings,
-            max_len=self.max_len,
-            bow_dim=self.bow_dim,
-            cache=self.cache,
-        )
+        return cls(embeddings, max_len=max_len, bow_dim=bow_dim, corpus=corpus)
 
     # ------------------------------------------------------------ single-item
     def vector(self, sentence: Sentence) -> np.ndarray:
         """Mean-embedding + surface-feature vector for ``sentence``."""
-        cached = self.cache.get_vector(sentence.sentence_id)
-        if cached is not None:
-            return cached
         embedding = self.embeddings.sentence_vector(sentence.tokens)
         surface = np.array(
             [
@@ -419,8 +110,7 @@ class SentenceFeaturizer:
                 len(set(sentence.tokens)) / (len(sentence.tokens) + 1.0),
             ]
         )
-        features = np.concatenate([embedding, self._bow(sentence.tokens), surface])
-        return self.cache.put_vector(sentence.sentence_id, features)
+        return np.concatenate([embedding, self._bow(sentence.tokens), surface])
 
     def _bow(self, tokens) -> np.ndarray:
         """Hashed bag-of-words block (L2-normalised token-count buckets)."""
@@ -436,35 +126,98 @@ class SentenceFeaturizer:
 
     def matrix(self, sentence: Sentence) -> np.ndarray:
         """Padded ``(max_len, dim)`` embedding matrix for ``sentence``."""
-        cached = self.cache.get_matrix(sentence.sentence_id)
-        if cached is not None:
-            return cached
-        matrix = self.embeddings.sentence_matrix(sentence.tokens, self.max_len)
-        return self.cache.put_matrix(sentence.sentence_id, matrix)
+        return self.embeddings.sentence_matrix(sentence.tokens, self.max_len)
 
     # ------------------------------------------------------------------ batch
     def vectors(self, sentences: Iterable[Sentence]) -> np.ndarray:
-        """Stack :meth:`vector` outputs for ``sentences`` into ``(n, d)``."""
-        rows = [self.vector(s) for s in sentences]
-        if not rows:
-            return np.zeros((0, self.vector_dim))
-        return np.stack(rows)
+        """Rows of the frozen corpus matrix for ``sentences``, as ``(n, d)``."""
+        ids = _sentence_ids(sentences)
+        return self._frozen("vectors", ids.size)[ids]
 
     def matrices(self, sentences: Iterable[Sentence]) -> np.ndarray:
-        """Stack :meth:`matrix` outputs into ``(n, max_len, dim)``."""
-        mats = [self.matrix(s) for s in sentences]
-        if not mats:
-            return np.zeros((0, self.max_len, self.embeddings.dim))
-        return np.stack(mats)
+        """Rows of the frozen corpus tensor, as ``(n, max_len, dim)``."""
+        ids = _sentence_ids(sentences)
+        return self._frozen("matrices", ids.size)[ids]
 
     def corpus_vectors(self, corpus: Corpus) -> np.ndarray:
-        """Feature matrix for the entire corpus, in sentence-id order."""
-        return self.vectors(corpus.sentences)
+        """The frozen read-only ``(N, d)`` matrix itself, in sentence-id order."""
+        self._check_corpus(corpus)
+        return self._frozen("vectors", len(corpus))
 
     def corpus_matrices(self, corpus: Corpus) -> np.ndarray:
-        """Embedding tensors for the entire corpus, in sentence-id order."""
-        return self.matrices(corpus.sentences)
+        """The frozen read-only ``(N, max_len, dim)`` tensor itself."""
+        self._check_corpus(corpus)
+        return self._frozen("matrices", len(corpus))
 
-    def invalidate(self, sentence_ids: Optional[Sequence[int]] = None) -> None:
-        """Drop cached features (all of them when ``sentence_ids`` is None)."""
-        self.cache.invalidate(sentence_ids)
+    def _check_corpus(self, corpus: Corpus) -> None:
+        if corpus is not self.corpus:
+            raise ValueError(
+                "this featurizer serves the corpus it was fit on; fit one "
+                "on this corpus with SentenceFeaturizer.fit"
+            )
+
+    def _frozen(self, kind: str, lookups: int) -> np.ndarray:
+        """The frozen ``kind`` array, built on first use; counts ``lookups``
+        rows as served from it."""
+        with self._lock:
+            frozen = self._store.get(kind)
+            if frozen is None:
+                frozen = self._build(kind)
+                frozen.setflags(write=False)
+                self._store[kind] = frozen
+                self._misses += len(frozen)
+            self._hits += lookups
+            return frozen
+
+    def _build(self, kind: str) -> np.ndarray:
+        """Fill one preallocated array row by row from the per-sentence
+        code, so every value is bit-identical to :meth:`vector` /
+        :meth:`matrix`."""
+        if self.corpus is None:
+            raise ValueError(
+                "featurizer has no corpus; build it with SentenceFeaturizer.fit"
+            )
+        if kind == "vectors":
+            row, shape = self.vector, (self.vector_dim,)
+        else:
+            row, shape = self.matrix, (self.max_len, self.embeddings.dim)
+        built = np.empty((len(self.corpus),) + shape)
+        for sentence in self.corpus:
+            built[sentence.sentence_id] = row(sentence)
+        return built
+
+    # ------------------------------------------------------------- accounting
+    @property
+    def cache(self) -> "SentenceFeaturizer":
+        """The featurizer itself: ``featurizer.cache.stats()`` reads the
+        feature store's counters."""
+        return self
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the frozen feature store."""
+        return int(self.stats()["nbytes"])
+
+    def stats(self) -> Dict[str, float]:
+        """Feature-store counters for benchmarks, gauges and the serve
+        report: ``misses`` counts rows computed (the one-time build),
+        ``hits`` rows served from the frozen arrays, ``entries`` the rows
+        they hold and ``nbytes`` their size."""
+        with self._lock:
+            return {
+                "hits": float(self._hits),
+                "misses": float(self._misses),
+                "entries": float(sum(len(a) for a in self._store.values())),
+                "nbytes": float(sum(a.nbytes for a in self._store.values())),
+            }
+
+    def reset_stats(self) -> None:
+        """Zero the counters; the frozen arrays stay. A forked fleet worker
+        calls this so its gauges count only its own work."""
+        with self._lock:
+            self._hits = 0
+            self._misses = 0
+
+
+def _sentence_ids(sentences: Iterable[Sentence]) -> np.ndarray:
+    return np.fromiter((s.sentence_id for s in sentences), dtype=np.intp)

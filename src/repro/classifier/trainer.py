@@ -7,9 +7,8 @@ The trainer reproduces how Darwin uses its classifier (Sections 3.3 and 4.5):
 * the classifier is retrained (from scratch) whenever the oracle confirms a
   rule that adds new positives,
 * after retraining, every corpus sentence gets a probability score ``p_s``
-  used by the benefit function. The paper's optimization — only re-score
-  sentences whose previous score exceeded a confidence floor, with a full
-  refresh every few retrains — is implemented in :meth:`score_corpus`.
+  used by the benefit function: one ``predict_proba`` over the featurizer's
+  frozen corpus matrix.
 """
 
 from __future__ import annotations
@@ -48,12 +47,6 @@ class ClassifierTrainer:
         corpus: The corpus being labeled.
         featurizer: Sentence featurizer (embeddings trained on the corpus).
         config: Classifier hyper-parameters.
-        score_floor: Sentences whose previous score is below this floor are
-            skipped during incremental re-scoring (0.3 in the paper).
-        full_rescore_every: Do a full corpus re-score every this many retrains.
-        incremental_scoring: Overrides ``config.incremental_scoring`` when
-            given (None defers to the config, so every construction site
-            honours ``ClassifierConfig(incremental_scoring=True)``).
     """
 
     def __init__(
@@ -61,20 +54,10 @@ class ClassifierTrainer:
         corpus: Corpus,
         featurizer: SentenceFeaturizer,
         config: Optional[ClassifierConfig] = None,
-        score_floor: float = 0.3,
-        full_rescore_every: int = 3,
-        incremental_scoring: Optional[bool] = None,
     ) -> None:
         self.corpus = corpus
         self.featurizer = featurizer
         self.config = config or ClassifierConfig()
-        self.score_floor = score_floor
-        self.full_rescore_every = max(1, full_rescore_every)
-        self.incremental_scoring = (
-            self.config.incremental_scoring
-            if incremental_scoring is None
-            else incremental_scoring
-        )
         self.classifier: Optional[TextClassifier] = None
         self._scores = np.full(len(corpus), 0.5, dtype=np.float64)
         self._retrain_count = 0
@@ -96,7 +79,7 @@ class ClassifierTrainer:
         self.classifier = make_classifier(self.config)
         self.classifier.fit(training_set)
         self._retrain_count += 1
-        self._refresh_scores(positive_ids)
+        self._refresh_scores()
         return self.classifier
 
     def _sample_negatives(self, positive_ids: Set[int]) -> Sequence[int]:
@@ -120,27 +103,12 @@ class ClassifierTrainer:
         return self.featurizer.vectors(sentences)
 
     # ----------------------------------------------------------------- scoring
-    def _refresh_scores(self, positive_ids: Set[int]) -> None:
-        if self.classifier is None:
-            return
-        full = (
-            not self.incremental_scoring
-            or self._retrain_count % self.full_rescore_every == 0
-        )
-        if full:
-            targets = list(range(len(self.corpus)))
+    def _refresh_scores(self) -> None:
+        if self.config.model == "cnn":
+            features = self.featurizer.corpus_matrices(self.corpus)
         else:
-            targets = [
-                i
-                for i in range(len(self.corpus))
-                if self._scores[i] >= self.score_floor or i in positive_ids
-            ]
-        if not targets:
-            return
-        sentences = [self.corpus[i] for i in targets]
-        features = self._featurize(sentences)
-        probs = self.classifier.predict_proba(features)
-        self._scores[np.array(targets)] = probs
+            features = self.featurizer.corpus_vectors(self.corpus)
+        self._scores[:] = self.classifier.predict_proba(features)
 
     def score_corpus(self) -> np.ndarray:
         """Current per-sentence positive-probability estimates (id order)."""

@@ -558,9 +558,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(f"shared resident state: {shared:,.0f} B (once per pool); "
               f"tenant overlays: {per_tenant:,.0f} B total "
               f"({per_tenant / max(len(report.results), 1):,.0f} B/tenant)")
-        cache = pool.featurizer.cache.stats()
-        print(f"feature cache: {cache['cached_vectors']:.0f} vectors, "
-              f"{cache['hits']:.0f} hits / {cache['misses']:.0f} misses")
+        features = pool.featurizer.stats()
+        print(f"feature store: {features['entries']:.0f} rows, "
+              f"{features['hits']:.0f} rows served / "
+              f"{features['misses']:.0f} computed")
         if args.metrics_out:
             # Snapshot while the pool is still open so its collectors run.
             obs.write_snapshot(args.metrics_out)

@@ -60,10 +60,6 @@ class ClassifierConfig:
             sample per known positive when forming a training set (Section 3.3).
         batch_size: Mini-batch size.
         l2: L2 regularisation strength.
-        incremental_scoring: After a retrain, only re-score sentences whose
-            previous score exceeded the trainer's confidence floor (with a full
-            refresh every few retrains) — the paper's Section 3.7 optimization.
-            Off by default so experiment reruns stay exact.
         seed: RNG seed for weight init and negative sampling.
     """
 
@@ -75,7 +71,6 @@ class ClassifierConfig:
     negative_sample_ratio: float = 5.0
     batch_size: int = 32
     l2: float = 1e-4
-    incremental_scoring: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -88,6 +83,11 @@ class ClassifierConfig:
             raise ConfigurationError("learning_rate must be positive")
         if self.negative_sample_ratio <= 0:
             raise ConfigurationError("negative_sample_ratio must be positive")
+        for name in ("batch_size", "hidden_dim", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
+        if self.l2 < 0:
+            raise ConfigurationError("l2 must be non-negative")
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able mapping of this config (checkpoint manifests)."""
@@ -254,6 +254,16 @@ class DarwinConfig:
         if self.hierarchy_refresh not in {"full", "incremental"}:
             raise ConfigurationError(
                 f"unknown hierarchy_refresh: {self.hierarchy_refresh!r}"
+            )
+        if not isinstance(self.classifier, ClassifierConfig):
+            raise ConfigurationError(
+                "classifier must be a ClassifierConfig (from_dict and "
+                "with_overrides convert mappings)"
+            )
+        if not isinstance(self.index, IndexConfig):
+            raise ConfigurationError(
+                "index must be an IndexConfig (from_dict and with_overrides "
+                "convert mappings)"
             )
 
     def with_overrides(self, **overrides: Any) -> "DarwinConfig":
@@ -481,16 +491,15 @@ class FleetConfig:
     Attributes:
         workers: Number of worker processes. Each worker reopens the shared
             :class:`~repro.index.arena.CoverageArena` file read-only by path
-            after spawn and hosts a partition of the tenants. All workers
-            share one ``multiprocessing.shared_memory`` feature slab, so each
-            sentence's feature vector is computed once per *machine* rather
-            than once per process.
+            after spawn and hosts a partition of the tenants.
         start_method: ``multiprocessing`` start method. ``"fork"`` (default)
-            lets workers inherit the built index/corpus substrate
-            copy-on-write — only per-tenant state is private per process;
-            ``"spawn"`` gives fully independent interpreters that rebuild
-            the substrate from the supervisor's substrate checkpoint (more
-            memory, maximal isolation).
+            lets workers inherit the built index/corpus substrate and the
+            frozen feature matrix copy-on-write, so each sentence's features
+            are computed once per *machine* — only per-tenant state is
+            private per process; ``"spawn"`` gives fully independent
+            interpreters that rebuild the substrate from the supervisor's
+            substrate checkpoint and build their own feature matrix (more
+            memory and compute, maximal isolation).
         workdir: Directory for the arena file, the substrate checkpoint, and
             worker auto-checkpoints. ``None`` uses a temporary directory
             removed when the supervisor closes.

@@ -275,16 +275,14 @@ class Darwin:
                 gauge(f"overlay_{key}",
                       "Overlay intern() routing (see OverlayCoverageStore)",
                       stats[key])
-        cache = getattr(self.featurizer, "cache", None)
-        if cache is not None:
-            fstats = cache.stats()
-            gauge("feature_cache_hits", "Feature cache hits", fstats["hits"])
-            gauge("feature_cache_misses", "Feature cache misses",
-                  fstats["misses"])
-            gauge("feature_cache_entries", "Feature cache entries",
-                  fstats["entries"])
-            gauge("feature_cache_nbytes", "Feature cache resident bytes",
-                  fstats["nbytes"])
+        fstats = self.featurizer.stats()
+        gauge("feature_cache_hits", "Feature rows served from the frozen store",
+              fstats["hits"])
+        gauge("feature_cache_misses", "Feature rows computed", fstats["misses"])
+        gauge("feature_cache_entries", "Feature rows in the frozen store",
+              fstats["entries"])
+        gauge("feature_cache_nbytes", "Frozen feature store resident bytes",
+              fstats["nbytes"])
 
     # ------------------------------------------------------------------ setup
     def parse_seed_rule(self, text: str, grammar_name: Optional[str] = None) -> LabelingHeuristic:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-STATE_SCHEMA_VERSION = 3
+STATE_SCHEMA_VERSION = 4
 """Bump whenever the manifest layout or array contract changes."""
 
 CHECKPOINT_KIND = "darwin-engine-checkpoint"

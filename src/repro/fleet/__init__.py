@@ -1,7 +1,7 @@
 """``repro.fleet`` — cross-process serving: supervisor, workers, pipe RPC.
 
 One supervisor process builds the shared substrate (sealed index, frozen
-read-only coverage arena, fitted featurizer + shared-memory feature slab),
+read-only coverage arena, fitted featurizer + its frozen feature matrix),
 detaches the arena mapping, and forks N single-threaded worker processes
 that each **reopen the arena by path** and host a disjoint partition of
 tenants in their own :class:`~repro.serving.TenantPool`. The supervisor

@@ -1,18 +1,17 @@
 """The fleet supervisor: spawn workers, route tenants, respawn, migrate.
 
 Builds the shared substrate **once** — sealed index, frozen read-only arena,
-fitted featurizer with its cross-process :class:`~repro.classifier.features.
-SharedMemorySlab` — then *detaches* the arena mapping
-(:meth:`CorpusIndex.detach_arena`) before any worker exists, so no child can
-inherit the supervisor's mmap. Under the default ``fork`` start method the
-heavy Python substrate (node dict, CSR arrays, embeddings) rides
-copy-on-write into every worker while each worker reopens the arena by path;
-under ``spawn``/``forkserver`` workers rebuild from a substrate checkpoint
-instead. Either way the supervisor itself never reattaches: after
-:meth:`start` it is pure control plane — routing tenant ops over pipe RPC,
-watching liveness, respawning crashed workers from their autosaved
-checkpoints, and migrating tenants by shipping their overlay checkpoint
-from one worker to another.
+fitted featurizer with its frozen feature matrix — then *detaches* the arena
+mapping (:meth:`CorpusIndex.detach_arena`) before any worker exists, so no
+child can inherit the supervisor's mmap. Under the default ``fork`` start
+method the heavy substrate (node dict, CSR arrays, embeddings, the feature
+matrix) rides copy-on-write into every worker while each worker reopens the
+arena by path; under ``spawn``/``forkserver`` workers rebuild from a
+substrate checkpoint instead and build their own feature matrix. Either way
+the supervisor itself never reattaches: after :meth:`start` it is pure
+control plane — routing tenant ops over pipe RPC, watching liveness,
+respawning crashed workers from their autosaved checkpoints, and migrating
+tenants by shipping their overlay checkpoint from one worker to another.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import multiprocessing as mp
 
-from ..classifier.features import (
-    SentenceFeaturizer,
-    SharedFeatureCache,
-    SharedMemorySlab,
-)
+from ..classifier.features import SentenceFeaturizer
 from ..config import CrowdConfig, DarwinConfig, FleetConfig, IndexConfig
 from ..errors import ConfigurationError
 from ..gateway.wire import BadRequestError, NotFoundError
@@ -95,7 +90,6 @@ class FleetSupervisor:
             )
         self.config = config
         self.arena_digest: Optional[str] = None
-        self.slab: Optional[SharedMemorySlab] = None
         self._index: Optional[CorpusIndex] = None
         self._featurizer: Optional[SentenceFeaturizer] = None
         self._substrate_path: Optional[str] = None
@@ -136,19 +130,21 @@ class FleetSupervisor:
         index.store.flush()
         index.store.arena.reopen_read_only()
         self.arena_digest = index.store.arena.digest
-        featurizer = SentenceFeaturizer.fit(
-            self.corpus,
-            embedding_dim=self.config.classifier.embedding_dim,
-            seed=self.config.classifier.seed,
-            cache=SharedFeatureCache(),
-        )
-        self.slab = SharedMemorySlab.create(
-            len(self.corpus), featurizer.vector_dim
-        )
-        featurizer.cache.attach_slab(self.slab)
         self._index = index
-        self._featurizer = featurizer
-        if self.fleet.start_method != "fork":
+        if self.fleet.start_method == "fork":
+            featurizer = SentenceFeaturizer.fit(
+                self.corpus,
+                embedding_dim=self.config.classifier.embedding_dim,
+                seed=self.config.classifier.seed,
+            )
+            # Build the frozen feature store now, so forked workers (and
+            # respawn forks) inherit it copy-on-write and compute no row.
+            if self.config.classifier.model == "cnn":
+                featurizer.corpus_matrices(self.corpus)
+            else:
+                featurizer.corpus_vectors(self.corpus)
+            self._featurizer = featurizer
+        else:
             self._substrate_path = os.path.join(self.workdir, "substrate.npz")
             self._write_substrate(self._substrate_path)
         # The point of no inheritance: close the supervisor's fd + mapping
@@ -207,10 +203,7 @@ class FleetSupervisor:
         else:
             # Spawn pickles the spec: strings and dicts only. The config
             # travels inside the substrate manifest.
-            spec.update(
-                substrate_path=self._substrate_path,
-                slab=self.slab.spec(),
-            )
+            spec.update(substrate_path=self._substrate_path)
         return spec
 
     def _spawn_worker(self, worker_id: int) -> WorkerClient:
@@ -378,6 +371,8 @@ class FleetSupervisor:
         """Move a tenant's overlay checkpoint to another worker.
 
         Checkpoint-and-evict on the source, adopt on the target, reroute.
+        When the target's adopt fails, the source re-adopts the migration
+        checkpoint, so the route stays valid, and the error is re-raised.
         The move is serialized against the tenant's other operations by the
         gateway's per-tenant queue (the supervisor itself only promises that
         the checkpoint happens at a coordinator-quiescent point, which a
@@ -401,11 +396,16 @@ class FleetSupervisor:
             self.fleet.call_timeout_s,
             {"tenant_id": tenant_id, "path": path, "evict": True},
         )
-        self._ensure_alive(target).call(
-            "adopt",
-            self.fleet.call_timeout_s,
-            {"tenant_id": tenant_id, "path": path},
-        )
+        adopt = {"tenant_id": tenant_id, "path": path}
+        try:
+            self._ensure_alive(target).call(
+                "adopt", self.fleet.call_timeout_s, adopt
+            )
+        except Exception:
+            self._ensure_alive(source).call(
+                "adopt", self.fleet.call_timeout_s, adopt
+            )
+            raise
         with self._lock:
             self._route[tenant_id] = target
         # Refresh the durability point so a target-worker crash right after
@@ -572,7 +572,7 @@ class FleetSupervisor:
         return paths
 
     def close(self) -> None:
-        """Stop the monitor, shut every worker down, release shared memory."""
+        """Stop the monitor, shut every worker down, drop the substrate."""
         if self._closed:
             return
         self._closed = True
@@ -591,10 +591,6 @@ class FleetSupervisor:
                 client.process.terminate()
                 client.process.join(timeout=5.0)
             client.close()
-        if self.slab is not None:
-            self.slab.close()
-            self.slab.unlink()
-            self.slab = None
         self._index = None
         self._featurizer = None
         if self._own_workdir:

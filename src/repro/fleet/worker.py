@@ -2,13 +2,14 @@
 
 A worker never inherits the supervisor's arena mapping. Under ``fork`` it
 inherits the *detached* substrate objects (node dict, CSR arrays, fitted
-embeddings — all copy-on-write) and immediately reattaches the coverage
-arena by **path** (:meth:`CorpusIndex.reattach_arena` → a fresh
-``open(path, "rb")`` with the retained content digest verified). Under
-``spawn`` it rebuilds the substrate from the supervisor's substrate
+embeddings, frozen feature matrix — all copy-on-write) and immediately
+reattaches the coverage arena by **path** (:meth:`CorpusIndex.reattach_arena`
+→ a fresh ``open(path, "rb")`` with the retained content digest verified).
+Under ``spawn`` it rebuilds the substrate from the supervisor's substrate
 checkpoint, whose store state attaches the arena with
-``CoverageArena.open(path, read_only=True)``. Either way the file-backed
-columns are opened post-spawn, per process, by path.
+``CoverageArena.open(path, read_only=True)``, and builds its own feature
+matrix. Either way the file-backed columns are opened post-spawn, per
+process, by path.
 
 Each worker is single-threaded: :func:`repro.fleet.rpc.serve_connection`
 recv/dispatch/send loop, so its tenants are serialized by construction. The
@@ -70,11 +71,15 @@ def _build_pool(spec: Dict[str, Any]) -> TenantPool:
         # "reopen by path after spawn" step — a fresh fd + mapping in this
         # process, digest-verified against the retained header.
         index.store.reattach_arena()
+        featurizer = spec["featurizer"]
+        # The supervisor built the feature matrix before forking; this
+        # worker's gauges count only its own work.
+        featurizer.reset_stats()
         return TenantPool(
             spec["corpus"],
             spec["config"],
             index=index,
-            featurizer=spec["featurizer"],
+            featurizer=featurizer,
             expected_digest=spec["arena_digest"],
             seeds=spec["seeds"],
             dataset_spec=spec["dataset_spec"],
@@ -82,11 +87,7 @@ def _build_pool(spec: Dict[str, Any]) -> TenantPool:
     # spawn / forkserver: nothing is inherited; rebuild the substrate from
     # the supervisor's checkpoint. Its store state performs the literal
     # CoverageArena.open(path, read_only=True) attach.
-    from ..classifier.features import (
-        SentenceFeaturizer,
-        SharedFeatureCache,
-        SharedMemorySlab,
-    )
+    from ..classifier.features import SentenceFeaturizer
     from ..datasets import load_dataset
     from ..engine.engine import _build_grammars
     from ..engine.state import read_checkpoint
@@ -104,7 +105,6 @@ def _build_pool(spec: Dict[str, Any]) -> TenantPool:
         corpus,
         embedding_dim=config.classifier.embedding_dim,
         seed=config.classifier.seed,
-        cache=SharedFeatureCache(slab=SharedMemorySlab.attach(spec["slab"])),
     )
     return TenantPool(
         corpus,

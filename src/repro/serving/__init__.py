@@ -5,7 +5,8 @@ weights, traversal pools, RNG streams) over corpus-wide immutable state (the
 index and its coverage columns) — exactly the split a multi-tenant server
 needs. :class:`TenantPool` attaches the immutable substrate once — a
 digest-verified read-only :class:`~repro.index.arena.CoverageArena`, the
-sealed :class:`~repro.index.CorpusIndex`, and a shared featurizer cache — and
+sealed :class:`~repro.index.CorpusIndex`, and one shared featurizer with its
+frozen feature matrix — and
 spawns per-tenant :class:`~repro.engine.DarwinEngine`\\ s whose coverage
 writes land in a copy-on-write
 :class:`~repro.index.overlay.OverlayCoverageStore`, so shared resident bytes

@@ -2,17 +2,17 @@
 
 ``TenantPool`` owns everything that is corpus-wide and immutable — the sealed
 :class:`~repro.index.CorpusIndex`, its coverage arena (frozen read-only,
-content-digest verified on attach), and one
-:class:`~repro.classifier.features.SharedFeatureCache` — and hands out
-:class:`Tenant` handles whose engines share all of it by reference:
+content-digest verified on attach), and one fitted
+:class:`~repro.classifier.features.SentenceFeaturizer` with its frozen
+feature matrix — and hands out :class:`Tenant` handles whose engines share
+all of it by reference:
 
 * the tenant's index is a read-only *view* of the shared index (same node
   dict, same CSR inverted map, zero copies) whose ``store`` is a per-tenant
   :class:`~repro.index.overlay.OverlayCoverageStore`, so anything the tenant
   interns lands in its own id-space partition;
-* the tenant's featurizer is a handle over the pool's fitted embeddings and
-  shared feature cache, so no sentence is ever featurized twice across
-  tenants;
+* the tenant's featurizer is the pool's featurizer object, so no sentence
+  is ever featurized twice across tenants;
 * everything mutable — rule set, hierarchy, traversal pools, classifier
   scores/weights, RNG streams, history — is built fresh per tenant by
   :class:`~repro.engine.DarwinEngine`, which is what makes each tenant's run
@@ -29,7 +29,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..classifier.features import SentenceFeaturizer, SharedFeatureCache
+from ..classifier.features import SentenceFeaturizer
 from ..config import CrowdConfig, DarwinConfig, DEFAULT_CONFIG
 from ..engine.engine import DarwinEngine
 from ..errors import ConfigurationError
@@ -171,7 +171,8 @@ class TenantPool:
             places the shared coverage arena; ``None`` uses a temporary
             file, whose columns tenant checkpoints then carry inline.
         index: A pre-built sealed index to adopt instead of building one.
-        featurizer: A pre-fitted featurizer to adopt (its cache is shared).
+        featurizer: A pre-fitted featurizer to adopt (shared by every
+            tenant).
         expected_digest: Content digest the shared arena must match — the
             digest-verified attach. Mismatch raises
             :class:`~repro.errors.ConfigurationError`.
@@ -229,7 +230,6 @@ class TenantPool:
                 corpus,
                 embedding_dim=self.config.classifier.embedding_dim,
                 seed=self.config.classifier.seed,
-                cache=SharedFeatureCache(),
             )
         self.featurizer = featurizer
 
@@ -239,7 +239,7 @@ class TenantPool:
         self._obs.register_collector(self._collect_obs_gauges)
 
     def _collect_obs_gauges(self) -> None:
-        """Pull collector: :meth:`memory_stats` and the shared feature cache
+        """Pull collector: :meth:`memory_stats` and the shared feature store
         as ``pool_*`` gauges (runs at snapshot/render time only)."""
         if self._closed:
             return
@@ -249,18 +249,18 @@ class TenantPool:
             "num_tenants": "Live tenants in the pool",
             "shared_resident_bytes": "Heap bytes of the shared substrate",
             "tenant_resident_bytes": "Summed marginal tenant overlay bytes",
-            "feature_cache_bytes": "Shared feature cache resident bytes",
+            "feature_cache_bytes": "Shared feature store resident bytes",
             "arena_file_bytes": "Backing arena file size",
         }
         for key, value in stats.items():
             registry.gauge(
                 f"pool_{key}", help_by_key.get(key, ""), labels=()
             ).set(value)
-        fstats = self.featurizer.cache.stats()
+        fstats = self.featurizer.stats()
         for key in ("hits", "misses", "entries", "nbytes"):
             registry.gauge(
                 f"pool_feature_cache_{key}",
-                f"Shared feature cache {key} across all tenants",
+                f"Shared feature store {key} across all tenants",
             ).set(fstats[key])
 
     def _build_grammars(self) -> List:
@@ -312,7 +312,7 @@ class TenantPool:
             self.corpus,
             config=config,
             index=tenant_index,
-            featurizer=self.featurizer.sharing_cache(),
+            featurizer=self.featurizer,
             dataset_spec=self.dataset_spec,
             seeds=dict(seeds) if seeds is not None else dict(self.seeds),
         )
@@ -399,7 +399,7 @@ class TenantPool:
             self.corpus,
             config=config,
             index=tenant_index,
-            featurizer=self.featurizer.sharing_cache(),
+            featurizer=self.featurizer,
             dataset_spec=manifest.get("dataset") or self.dataset_spec,
             grammar_options=manifest.get("grammar_options"),
             oracle_options=manifest.get("oracle_options"),
@@ -417,7 +417,7 @@ class TenantPool:
     def shared_resident_bytes(self) -> int:
         """Heap bytes pinned by the substrate every tenant shares: the base
         store's residency (the arena's offsets column), the CSR inverted
-        map, and the feature cache. Exists once per pool regardless of
+        map, and the feature store. Exists once per pool regardless of
         tenant count."""
         index = self.index
         inverted = (
@@ -428,7 +428,7 @@ class TenantPool:
         return (
             index.store.resident_coverage_bytes
             + inverted
-            + self.featurizer.cache.nbytes
+            + self.featurizer.nbytes
         )
 
     def tenant_resident_bytes(self) -> int:
@@ -441,7 +441,7 @@ class TenantPool:
             "num_tenants": float(self.num_tenants),
             "shared_resident_bytes": float(self.shared_resident_bytes()),
             "tenant_resident_bytes": float(self.tenant_resident_bytes()),
-            "feature_cache_bytes": float(self.featurizer.cache.nbytes),
+            "feature_cache_bytes": float(self.featurizer.nbytes),
         }
         arena = self.index.store.arena
         stats["arena_file_bytes"] = float(

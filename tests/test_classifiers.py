@@ -44,12 +44,43 @@ class TestTrainingSetAndHelpers:
 
 class TestSentenceFeaturizer:
     def test_vector_shape_and_cache(self, example1_corpus):
-        featurizer = SentenceFeaturizer.fit(example1_corpus, embedding_dim=16, bow_dim=32)
+        """The frozen store is bit-identical to the per-sentence oracle and
+        read-only."""
+        featurizer = SentenceFeaturizer.fit(
+            example1_corpus, embedding_dim=16, bow_dim=32, max_len=12
+        )
         vector = featurizer.vector(example1_corpus[0])
         assert vector.shape == (featurizer.vector_dim,)
-        assert featurizer.vector(example1_corpus[0]) is vector  # cached
-        featurizer.invalidate([0])
-        assert featurizer.vector(example1_corpus[0]) is not vector
+        sentences = example1_corpus.sentences
+        vectors = featurizer.vectors(sentences)
+        assert np.array_equal(
+            vectors, np.stack([featurizer.vector(s) for s in example1_corpus])
+        )
+        matrices = featurizer.matrices(sentences)
+        assert np.array_equal(
+            matrices, np.stack([featurizer.matrix(s) for s in example1_corpus])
+        )
+        # A gather in any order returns the same rows.
+        reordered = featurizer.vectors([sentences[3], sentences[0]])
+        assert np.array_equal(reordered, vectors[[3, 0]])
+        for frozen in (
+            featurizer.corpus_vectors(example1_corpus),
+            featurizer.corpus_matrices(example1_corpus),
+        ):
+            with pytest.raises(ValueError):
+                frozen[0] = 0.0
+        # Each store was built once: one computed row per sentence.
+        stats = featurizer.cache.stats()
+        assert stats["misses"] == 2 * len(example1_corpus)
+        assert stats["entries"] == 2 * len(example1_corpus)
+
+    def test_corpus_must_be_the_fitted_one(self, example1_corpus, directions_corpus):
+        featurizer = SentenceFeaturizer.fit(example1_corpus, embedding_dim=8)
+        with pytest.raises(ValueError, match="fit on"):
+            featurizer.corpus_vectors(directions_corpus)
+        unbound = SentenceFeaturizer(featurizer.embeddings)
+        with pytest.raises(ValueError, match="no corpus"):
+            unbound.vectors(example1_corpus.sentences)
 
     def test_matrix_shape(self, example1_corpus):
         featurizer = SentenceFeaturizer.fit(example1_corpus, embedding_dim=16, max_len=12)
@@ -194,14 +225,19 @@ class TestMakeClassifierAndTrainer:
         assert set(trainer.scores_for([0, 1])) == {0, 1}
         assert 0.0 <= trainer.score(0) <= 1.0
 
-    def test_incremental_scoring_mode(self, directions_corpus, directions_featurizer):
+    @pytest.mark.parametrize("model", ["logistic", "cnn"])
+    def test_full_rescore_matches_per_sentence_features(
+        self, model, directions_corpus, directions_featurizer
+    ):
         trainer = ClassifierTrainer(
             directions_corpus, directions_featurizer,
-            config=ClassifierConfig(epochs=10, embedding_dim=30),
-            incremental_scoring=True, full_rescore_every=2,
+            config=ClassifierConfig(model=model, epochs=2, embedding_dim=30),
         )
-        truth = sorted(directions_corpus.positive_ids())
-        trainer.retrain(set(truth[:3]))
-        trainer.retrain(set(truth[:6]))
-        assert trainer.retrain_count == 2
-        assert trainer.score_corpus().shape == (len(directions_corpus),)
+        trainer.retrain(set(sorted(directions_corpus.positive_ids())[:5]))
+        row = (
+            directions_featurizer.matrix if model == "cnn"
+            else directions_featurizer.vector
+        )
+        stacked = np.stack([row(s) for s in directions_corpus])
+        expected = trainer.classifier.predict_proba(stacked)
+        assert np.array_equal(trainer.score_corpus(), expected)

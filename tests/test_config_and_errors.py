@@ -55,6 +55,24 @@ class TestClassifierConfig:
         with pytest.raises(Exception):
             config.epochs = 3  # type: ignore[misc]
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0),
+        ("hidden_dim", 0),
+        ("embedding_dim", 0),
+        ("l2", -5.0),
+    ])
+    def test_invalid_fields_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ClassifierConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["classifier", "index"])
+    def test_nested_config_must_not_be_a_plain_dict(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            DarwinConfig(**{field: {}})
+        # The converting entry points still accept mappings.
+        assert DarwinConfig.from_dict({field: {}})
+        assert DarwinConfig().with_overrides(**{field: {}})
+
 
 class TestDarwinConfig:
     def test_defaults_are_valid(self):

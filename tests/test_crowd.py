@@ -427,33 +427,6 @@ class TestSessionBudgetReconciliation:
             session.submit_answer()
 
 
-class TestIncrementalScoringWiring:
-    def test_trainer_honours_classifier_config(self, directions_corpus,
-                                               directions_featurizer):
-        from repro.classifier.trainer import ClassifierTrainer
-
-        config = ClassifierConfig(epochs=5, embedding_dim=30,
-                                  incremental_scoring=True)
-        trainer = ClassifierTrainer(directions_corpus, directions_featurizer,
-                                    config=config)
-        assert trainer.incremental_scoring is True
-        # An explicit kwarg still overrides the config.
-        trainer = ClassifierTrainer(directions_corpus, directions_featurizer,
-                                    config=config, incremental_scoring=False)
-        assert trainer.incremental_scoring is False
-
-    def test_darwin_builds_incremental_trainer(self, directions_corpus,
-                                               placed_directions_index,
-                                               directions_featurizer):
-        darwin = make_darwin(
-            directions_corpus, placed_directions_index, directions_featurizer,
-            classifier={"epochs": 5, "embedding_dim": 30,
-                        "incremental_scoring": True},
-        )
-        darwin.start(seed_rule_texts=[SEED_RULE])
-        assert darwin.trainer.incremental_scoring is True
-
-
 class TestSampleForQuery:
     def test_public_name_and_alias_agree(self, directions_corpus,
                                          placed_directions_index,

@@ -149,6 +149,44 @@ class TestMigration:
         answer_questions(fleet, "mig-move", 3)
         assert fleet.history("mig-move") == fleet.history("mig-stay")
 
+    def test_failed_adopt_keeps_tenant_on_source(self, fleet, monkeypatch):
+        """An adopt that fails on the target leaves the tenant served by the
+        source, from the migration checkpoint, and re-raises."""
+        from repro.fleet.rpc import WorkerClient
+
+        fleet.spawn_tenant("mig-fail", worker=0)
+        answer_questions(fleet, "mig-fail", 2)
+        before = fleet.history("mig-fail")
+        real_call = WorkerClient.call
+
+        def failing_adopt(client, op, *args, **kwargs):
+            if op == "adopt" and client.worker_id == 1:
+                raise RuntimeError("injected adopt failure")
+            return real_call(client, op, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerClient, "call", failing_adopt)
+        with pytest.raises(RuntimeError, match="injected adopt failure"):
+            fleet.migrate("mig-fail", target=1)
+        monkeypatch.undo()
+
+        assert fleet.worker_of("mig-fail") == 0
+        proposal = fleet.call_tenant(
+            "mig-fail", "propose", {"annotator_id": 0}
+        )
+        assert proposal["assignment"] is not None
+        assert fleet.history("mig-fail") == before
+        result = fleet.call_tenant(
+            "mig-fail",
+            "answer",
+            {
+                "ticket_id": proposal["assignment"]["ticket_id"],
+                "annotator_id": 0,
+                "is_useful": True,
+            },
+        )
+        assert result["committed"]
+        assert len(fleet.history("mig-fail")) == len(before) + 1
+
     def test_migrate_to_same_worker_rejected(self, fleet):
         fleet.spawn_tenant("mig-same", worker=0)
         with pytest.raises(BadRequestError, match="already on worker"):
@@ -283,18 +321,26 @@ class TestFleetGateway:
 
 
 class TestSharedSlab:
-    def test_slab_spec_attach_shares_vectors(self, fleet):
-        from repro.classifier.features import SharedMemorySlab
+    def test_slab_spec_attach_shares_vectors(self, fleet, directions_corpus):
+        """The supervisor builds the feature matrix before forking, so no
+        worker computes a feature row: every retrain and rescore is served
+        from the inherited copy-on-write matrix."""
+        assert fleet._featurizer.stats()["misses"] == len(directions_corpus)
+        for worker in (0, 1):
+            tenant_id = f"features-{worker}"
+            fleet.spawn_tenant(tenant_id, worker=worker)
+            answer_questions(fleet, tenant_id, 1)
+        snapshots = fleet.metrics_snapshots()
+        assert set(snapshots) == {"0", "1"}
+        for snapshot in snapshots.values():
+            families = snapshot["metrics"]
 
-        assert fleet.slab is not None
-        view = SharedMemorySlab.attach(fleet.slab.spec())
-        try:
-            assert view.num_vectors == fleet.slab.num_vectors
-            # Workers fit their featurizers through this slab; at least the
-            # corpus vectors computed during tenant spawns are visible here.
-            assert view.ready_count > 0
-        finally:
-            view.close()
+            def value(name):
+                return families[name]["series"][0]["value"]
+
+            assert value("pool_feature_cache_misses") == 0
+            assert value("pool_feature_cache_hits") >= len(directions_corpus)
+            assert value("pool_feature_cache_entries") == len(directions_corpus)
 
     def test_machine_rss_is_tracked(self, fleet):
         rss = fleet.machine_rss_bytes()

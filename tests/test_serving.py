@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classifier.features import SentenceFeaturizer, SharedFeatureCache
 from repro.config import ClassifierConfig, CrowdConfig, DarwinConfig, IndexConfig
 from repro.engine.engine import DarwinEngine
 from repro.engine.state import ArrayBundle
@@ -207,44 +206,24 @@ class TestOverlayInterleavingProperty:
 
 class TestSharedFeaturizerCache:
     def test_two_engines_share_vectors_without_double_compute(
-        self, directions_corpus
+        self, tmp_path, directions_corpus
     ):
-        cache = SharedFeatureCache()
-        fitted = SentenceFeaturizer.fit(
-            directions_corpus, embedding_dim=30, seed=0, cache=cache
-        )
-        first = fitted.sharing_cache()
-        second = fitted.sharing_cache()
-        assert first.cache is second.cache is cache
-
-        # Overlapping ranges: [0, 120) then [60, 180).
-        sentences_a = [directions_corpus[i] for i in range(0, 120)]
-        sentences_b = [directions_corpus[i] for i in range(60, 180)]
-        vectors_a = first.vectors(sentences_a)
-        misses_after_a = cache.misses
-        assert misses_after_a == 120 and cache.hits == 0
-
-        vectors_b = second.vectors(sentences_b)
-        # The 60 overlapping sentences were answered from the cache; only the
-        # 60 genuinely new ones were computed.
-        assert cache.misses == misses_after_a + 60
-        assert cache.hits == 60
-        np.testing.assert_array_equal(vectors_a[60:], vectors_b[:60])
-        # Identical objects, not merely equal values: one canonical array.
-        assert first.vector(directions_corpus[70]) is second.vector(
-            directions_corpus[70]
-        )
-
-    def test_invalidate_forces_recompute(self, directions_corpus):
-        cache = SharedFeatureCache()
-        featurizer = SentenceFeaturizer.fit(
-            directions_corpus, embedding_dim=30, seed=0, cache=cache
-        )
-        featurizer.vector(directions_corpus[0])
-        featurizer.invalidate([0])
-        misses = cache.misses
-        featurizer.vector(directions_corpus[0])
-        assert cache.misses == misses + 1
+        config = serving_config(tmp_path, budget=2)
+        with TenantPool(
+            directions_corpus, config, seeds={"rule_texts": [SEED_RULE]}
+        ) as pool:
+            first, second = pool.spawn_many(2)
+            assert first.darwin.featurizer is second.darwin.featurizer
+            first.run()
+            second.run()
+            stats = pool.featurizer.stats()
+            # Both tenants retrained and rescored over one store, whose N
+            # rows were computed once in total.
+            assert first.darwin.trainer.retrain_count >= 1
+            assert second.darwin.trainer.retrain_count >= 1
+            assert stats["misses"] == len(directions_corpus)
+            assert stats["entries"] == len(directions_corpus)
+            assert stats["hits"] >= 2 * len(directions_corpus)
 
 
 class TestReadOnlyArenaAttach:
@@ -313,7 +292,7 @@ class TestTenantPool:
         solo = DarwinEngine(
             serving_corpus,
             config=serving_config(budget=5),
-            featurizer=directions_featurizer.sharing_cache(),
+            featurizer=directions_featurizer,
             seeds={"rule_texts": [SEED_RULE]},
         ).run()
 
