@@ -1,7 +1,8 @@
 """RPR003 — sealed-array immutability: never mutate interned columns.
 
-``CoverageView.ids``, arena ``values_slice`` results, and the ``NodeTable``
-interval/CSR columns are sealed (``setflags(write=False)``) and shared
+``CoverageView.ids``, arena ``values_slice`` results, the ``NodeTable``
+interval/CSR columns and a corpus's ``TokenColumn.ids`` / ``.offsets`` are
+sealed (``setflags(write=False)``) and shared
 zero-copy across nodes, checkpoints, and tenants; mutating one corrupts
 every reader with no error at the mutation site (or, where sealing is
 enforced, raises only at runtime on the one path a test happens to drive).

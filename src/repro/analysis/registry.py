@@ -51,9 +51,10 @@ class LintConfig:
 
     # RPR003 — attribute names whose reads hand out sealed (read-only)
     # arrays: CoverageView.ids / CoverageView._ids, the NodeTable interval +
-    # CSR columns, and the index's inverted-map columns.
+    # CSR columns, the index's inverted-map columns, and a corpus's
+    # TokenColumn.ids / TokenColumn.offsets.
     sealed_attrs: frozenset = frozenset({
-        "ids", "_ids", "pre", "post", "order_by_pre", "store_slot",
+        "ids", "_ids", "offsets", "pre", "post", "order_by_pre", "store_slot",
         "parent_starts", "parent_ids", "child_starts", "child_ids",
         "_inv_nodes", "_inv_starts", "_node_counts", "_node_ranks",
         "_rank_order",

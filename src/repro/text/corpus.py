@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
+from .column import TokenColumn
 from .dependency import DependencyParser
 from .pos import PosTagger
 from .sentence import Sentence
@@ -21,6 +22,12 @@ class Corpus:
 
     Ground-truth labels, when present, are *only* consumed by oracles and
     evaluation code. Darwin's search itself never looks at them.
+
+    Attributes:
+        token_column: The sentences' tokens as one read-only
+            :class:`TokenColumn` (token-type ids in sentence-id order), built
+            once here; the featurizer, embedding training and the vocabulary
+            read it instead of the per-sentence token tuples.
     """
 
     def __init__(self, sentences: Sequence[Sentence], name: str = "corpus") -> None:
@@ -32,6 +39,7 @@ class Corpus:
                     "sentence ids must be consecutive and start at 0 "
                     f"(expected {expected_id}, got {sentence.sentence_id})"
                 )
+        self.token_column = TokenColumn(s.tokens for s in self._sentences)
         self._vocabulary: Optional[Vocabulary] = None
         self._has_labels_cache: Optional[bool] = None
 
@@ -130,7 +138,7 @@ class Corpus:
         """Lazily build (and cache) the corpus token vocabulary."""
         if self._vocabulary is None or self._vocabulary.min_count != min_count:
             self._vocabulary = Vocabulary.from_sentences(
-                (s.tokens for s in self._sentences), min_count=min_count
+                self.token_column, min_count=min_count
             )
         return self._vocabulary
 

@@ -11,6 +11,10 @@ vectors from the corpus itself:
 2. convert counts to positive pointwise mutual information (PPMI),
 3. factorize with a truncated SVD (scipy sparse svds) to ``dim`` dimensions.
 
+Every count (vocabulary, SIF weights, co-occurrences) is taken with numpy over
+a :class:`~repro.text.TokenColumn` — the corpus's own column, or one built
+from plain token lists — rather than token by token in Python.
+
 Tokens that never co-occur (or out-of-vocabulary tokens at query time) fall
 back to a deterministic hashed random vector so that every token always has an
 embedding of the right dimensionality.
@@ -18,14 +22,14 @@ embedding of the right dimensionality.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from ..utils.rng import derive_rng, stable_hash
+from .column import TokenColumn
 from .vocabulary import Vocabulary
 
 
@@ -129,29 +133,26 @@ def _normalize(vector: np.ndarray) -> np.ndarray:
 
 
 def sif_weights(
-    sentences: Iterable[Sequence[str]], smoothing: float = 1e-3
+    sentences: Union[TokenColumn, Iterable[Sequence[str]]], smoothing: float = 1e-3
 ) -> Dict[str, float]:
     """Smooth inverse-frequency (SIF) token weights: ``a / (a + p(token))``.
 
     Frequent function words get weights near zero, rare content words weights
     near one, following Arora et al.'s simple-but-tough-to-beat sentence
-    embedding baseline.
+    embedding baseline. Tokens are listed in first-occurrence order.
     """
-    counts: Counter = Counter()
-    total = 0
-    for tokens in sentences:
-        counts.update(tokens)
-        total += len(tokens)
+    column = TokenColumn.of(sentences)
+    total = column.ids.size
     if total == 0:
         return {}
     return {
         token: smoothing / (smoothing + count / total)
-        for token, count in counts.items()
+        for token, count in zip(column.types, column.type_counts().tolist())
     }
 
 
 def build_embeddings(
-    sentences: Iterable[Sequence[str]],
+    sentences: Union[TokenColumn, Iterable[Sequence[str]]],
     dim: int = 50,
     window: int = 3,
     min_count: int = 2,
@@ -162,10 +163,11 @@ def build_embeddings(
     """Train PPMI-SVD embeddings over tokenized ``sentences``.
 
     Args:
-        sentences: Iterable of token sequences.
+        sentences: A :class:`TokenColumn`, or token sequences to wrap in one.
         dim: Target dimensionality (reduced automatically if the vocabulary is
             too small for a rank-``dim`` factorization).
-        window: Symmetric co-occurrence window size.
+        window: Symmetric co-occurrence window size, counted over each
+            sentence's in-vocabulary tokens.
         min_count: Tokens rarer than this share the hashed fallback.
         seed: Seed for the fallback vectors and SVD initialisation.
         vocabulary: Optional pre-built vocabulary (rebuilt from the sentences
@@ -176,54 +178,39 @@ def build_embeddings(
     Returns:
         A fitted :class:`EmbeddingModel`.
     """
-    sentence_list = [list(tokens) for tokens in sentences]
+    column = TokenColumn.of(sentences)
     if vocabulary is None:
-        vocabulary = Vocabulary.from_sentences(sentence_list, min_count=min_count)
-    weights = sif_weights(sentence_list) if use_sif_weights else None
+        vocabulary = Vocabulary.from_sentences(column, min_count=min_count)
+    weights = sif_weights(column) if use_sif_weights else None
     tokens = vocabulary.content_tokens()
     if not tokens:
         return EmbeddingModel(dim, {}, seed=seed, token_weights=weights)
     token_index = {token: i for i, token in enumerate(tokens)}
     n_tokens = len(tokens)
 
-    cooc: Counter = Counter()
-    token_totals = np.zeros(n_tokens)
-    for sent in sentence_list:
-        indices = [token_index[t] for t in sent if t in token_index]
-        for pos, center in enumerate(indices):
-            lo = max(0, pos - window)
-            hi = min(len(indices), pos + window + 1)
-            for other_pos in range(lo, hi):
-                if other_pos == pos:
-                    continue
-                context = indices[other_pos]
-                cooc[(center, context)] += 1.0
-                token_totals[center] += 1.0
-
+    centers, contexts, counts = _cooccurrences(column, token_index, window)
+    token_totals = np.bincount(centers, weights=counts, minlength=n_tokens)
     total = token_totals.sum()
-    if total == 0 or not cooc:
+    if total == 0:
         rng = derive_rng(seed, "degenerate-embeddings")
         vectors = {t: rng.standard_normal(dim) for t in tokens}
         return EmbeddingModel(dim, vectors, seed=seed, token_weights=weights)
 
-    rows, cols, values = [], [], []
-    for (center, context), count in cooc.items():
-        p_joint = count / total
-        p_center = token_totals[center] / total
-        p_context = token_totals[context] / total
-        pmi = np.log(p_joint / (p_center * p_context + 1e-12) + 1e-12)
-        if pmi > 0:
-            rows.append(center)
-            cols.append(context)
-            values.append(pmi)
+    p_joint = counts / total
+    p_center = token_totals[centers] / total
+    p_context = token_totals[contexts] / total
+    pmi = np.log(p_joint / (p_center * p_context + 1e-12) + 1e-12)
+    positive = pmi > 0
 
-    if not values:
+    if not positive.any():
         rng = derive_rng(seed, "flat-embeddings")
         vectors = {t: rng.standard_normal(dim) for t in tokens}
         return EmbeddingModel(dim, vectors, seed=seed, token_weights=weights)
 
     matrix = sparse.csr_matrix(
-        (values, (rows, cols)), shape=(n_tokens, n_tokens), dtype=np.float64
+        (pmi[positive], (centers[positive], contexts[positive])),
+        shape=(n_tokens, n_tokens),
+        dtype=np.float64,
     )
     effective_dim = min(dim, max(1, min(matrix.shape) - 1))
     if effective_dim < 1 or matrix.nnz == 0:
@@ -246,3 +233,37 @@ def build_embeddings(
 
     vectors = {token: embedded[i] for token, i in token_index.items()}
     return EmbeddingModel(dim, vectors, seed=seed, token_weights=weights)
+
+
+def _cooccurrences(
+    column: TokenColumn, token_index: Dict[str, int], window: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct ``(center, context)`` vocabulary-index pairs within
+    ``window`` of each other in a sentence's in-vocabulary subsequence, with
+    their counts (float64), in row-major order.
+
+    Each window shift is counted on its own (``np.unique``) and the shifts
+    are merged, so no array of every pair occurrence is ever built. The
+    order of the pairs does not reach the embeddings: the PPMI CSR matrix
+    sorts each row's entries.
+    """
+    table = np.array([token_index.get(t, -1) for t in column.types], dtype=np.int64)
+    mapped = table[column.ids]
+    kept = mapped >= 0
+    seq = mapped[kept]
+    sentence = np.repeat(np.arange(len(column)), column.lengths())[kept]
+    n_tokens = len(token_index)
+    keys, counts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for shift in [d for d in range(-window, window + 1) if d != 0]:
+        centers = np.arange(max(0, -shift), seq.size - max(0, shift))
+        centers = centers[sentence[centers] == sentence[centers + shift]]
+        unique, count = np.unique(
+            seq[centers] * n_tokens + seq[centers + shift], return_counts=True
+        )
+        keys.append(unique)
+        counts.append(count)
+    pairs, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    totals = np.bincount(
+        inverse.ravel(), weights=np.concatenate(counts), minlength=pairs.size
+    )
+    return pairs // n_tokens, pairs % n_tokens, totals

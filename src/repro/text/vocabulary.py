@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Union
+
+from .column import TokenColumn
 
 
 class Vocabulary:
@@ -64,14 +66,15 @@ class Vocabulary:
     @classmethod
     def from_sentences(
         cls,
-        sentences: Iterable[Sequence[str]],
+        sentences: Union[TokenColumn, Iterable[Sequence[str]]],
         min_count: int = 1,
         max_size: int | None = None,
     ) -> "Vocabulary":
-        """Build and freeze a vocabulary from an iterable of token sequences."""
+        """Build and freeze a vocabulary from token sequences (or their
+        :class:`TokenColumn`)."""
+        column = TokenColumn.of(sentences)
         vocab = cls(min_count=min_count, max_size=max_size)
-        for tokens in sentences:
-            vocab.add_sentence(tokens)
+        vocab.counts.update(dict(zip(column.types, column.type_counts().tolist())))
         return vocab.freeze()
 
     def id_of(self, token: str) -> int:

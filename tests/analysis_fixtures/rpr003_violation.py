@@ -27,3 +27,10 @@ def reseal_then_write(values):
     frozen.setflags(write=False)
     frozen[3] = 9  # line 28: wrote what this function just froze
     return frozen
+
+
+def shift_token_column(corpus):
+    offsets = corpus.token_column.offsets  # sealed TokenColumn column
+    offsets[1:] -= 1  # line 34: augmented assignment through a slice
+    corpus.token_column.ids[0] = 0  # line 35: subscript write
+    return offsets

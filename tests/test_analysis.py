@@ -71,7 +71,16 @@ def test_rpr002_reports_missing_restorer_and_drifted_key():
 
 def test_rpr003_taint_reaches_every_mutation_shape():
     findings = fixture_findings("rpr003_violation.py", "RPR003")
-    assert sorted(d.line for d in findings) == [8, 14, 20, 21, 28]
+    assert sorted(d.line for d in findings) == [8, 14, 20, 21, 28, 34, 35]
+
+
+def test_rpr003_guards_the_token_column():
+    """A corpus's TokenColumn.ids / .offsets are sealed: writing through
+    either is flagged."""
+    findings = fixture_findings("rpr003_violation.py", "RPR003")
+    flagged = {d.line: d.message for d in findings if d.line in (34, 35)}
+    assert "'offsets'" in flagged[34]
+    assert "'.ids'" in flagged[35]
 
 
 def test_rpr004_flags_only_the_bare_mutation():
