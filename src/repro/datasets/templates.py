@@ -20,11 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DatasetError
-from ..text.corpus import Corpus
-from ..text.dependency import DependencyParser
+from ..text.corpus import Corpus, preprocess
 from ..text.pos import PosTagger
-from ..text.sentence import Sentence
-from ..text.tokenizer import Tokenizer
 from ..utils.rng import derive_rng
 
 _SLOT_PATTERN = re.compile(r"\{(\w+)\}")
@@ -113,33 +110,15 @@ class TemplateBank:
         num_positive = max(2, int(round(num_sentences * positive_fraction)))
         num_negative = max(1, num_sentences - num_positive)
 
-        tokenizer = Tokenizer()
         tagger = PosTagger()
         if self.lexicon:
             tagger.add_lexicon(dict(self.lexicon))
-        parser = DependencyParser()
 
         records: List[Tuple[str, bool, str]] = []
         records.extend(self._sample_class(self.positive_modes, num_positive, rng, True))
         records.extend(self._sample_class(self.negative_modes, num_negative, rng, False))
         rng.shuffle(records)
-
-        sentences: List[Sentence] = []
-        for sentence_id, (text, label, mode_name) in enumerate(records):
-            tokens = tuple(tokenizer.tokenize(text))
-            tags = tuple(tagger.tag(tokens))
-            tree = parser.parse(tokens, tags) if parse_trees and tokens else None
-            sentences.append(
-                Sentence(
-                    sentence_id=sentence_id,
-                    text=text,
-                    tokens=tokens,
-                    tags=tags,
-                    tree=tree,
-                    label=label,
-                    meta=mode_name,
-                )
-            )
+        sentences = preprocess(records, tagger=tagger, parse_trees=parse_trees)
         return Corpus(sentences, name=self.name)
 
     def _sample_class(

@@ -57,6 +57,12 @@ class HeuristicGrammar(ABC):
 
         ``max_depth`` bounds the number of derivation-rule applications, which
         keeps the derivation sketch linear in sentence length (Section 3.1).
+
+        Contract: the expressions and their order depend only on the
+        sentence's ``text``, ``tokens``, ``tags`` and ``tree``, never on its
+        id, label or meta, nor on hash order. :meth:`CorpusIndex.build
+        <repro.index.trie_index.CorpusIndex.build>` relies on this to build
+        one sketch per distinct sentence.
         """
 
     # --------------------------------------------------------- neighbourhood

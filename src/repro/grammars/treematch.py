@@ -14,7 +14,7 @@ the paper's notation (``/is/NOUN ∧ job``); parsing accepts the same strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import RuleParseError
 from ..text.dependency import DependencyTree
@@ -157,11 +157,13 @@ class TreeMatchGrammar(HeuristicGrammar):
         if tree is None or len(tree) == 0:
             return
         limit = min(self.max_pattern_size, max_depth)
-        seen = set()
+        # Insertion-ordered (not a set): the first 50 child patterns below
+        # must not depend on hash order, which differs between processes.
+        seen: Dict[TreePattern, None] = {}
 
         def emit(pattern: TreePattern) -> Iterable[TreePattern]:
             if pattern not in seen:
-                seen.add(pattern)
+                seen[pattern] = None
                 yield pattern
 
         node_labels: List[Tuple[int, str]] = []
@@ -208,9 +210,9 @@ class TreeMatchGrammar(HeuristicGrammar):
 
         if limit >= 5:
             # Child pattern conjoined with one additional token leaf.
-            content_tokens = {
-                tree.tokens[i] for i in range(len(tree)) if tree.tags[i] not in {"PUNCT"}
-            }
+            content_tokens = dict.fromkeys(
+                tree.tokens[i] for i in range(len(tree)) if tree.tags[i] != "PUNCT"
+            )
             child_patterns = [p for p in seen if p.kind == "child"]
             for pattern in child_patterns[:50]:
                 mentioned = set(pattern.labels())

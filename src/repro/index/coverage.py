@@ -66,9 +66,22 @@ _EMPTY_IDS.setflags(write=False)
 
 
 def _as_sorted_ids(ids: IdsLike) -> np.ndarray:
-    """Normalize ``ids`` to a sorted, unique, read-only ``int32`` array."""
+    """Normalize ``ids`` to a sorted, unique, read-only ``int32`` array.
+
+    An ``int32`` array that is already strictly increasing (an O(n) check)
+    is returned as a read-only view without re-sorting.
+    """
     if isinstance(ids, CoverageView):
         return ids.ids
+    if (
+        isinstance(ids, np.ndarray)
+        and ids.dtype == np.int32
+        and ids.ndim == 1
+        and bool(np.all(ids[1:] > ids[:-1]))
+    ):
+        array = ids.view()
+        array.setflags(write=False)
+        return array
     if not isinstance(ids, (np.ndarray, list, tuple)):
         # Sets, dict views, generators, other AbstractSets: np.asarray cannot
         # consume these directly.

@@ -1,10 +1,12 @@
 """Derivation sketches (Section 3.1).
 
 A derivation sketch summarizes, for one sentence, all heuristics (up to a
-bounded number of derivation steps) that the sentence satisfies.
+bounded number of derivation steps) that the sentence satisfies. It depends
+only on the sentence's content, so
 :meth:`~repro.index.trie_index.CorpusIndex.build` builds one sketch per
-sentence and folds it into the corpus index with
-:meth:`~repro.index.trie_index.CorpusIndex.add_sketch`.
+*distinct* sentence and shares it among the repeats;
+:meth:`~repro.index.trie_index.CorpusIndex.add_sketch` folds one sentence's
+sketch into an index by hand.
 """
 
 from __future__ import annotations

@@ -9,12 +9,17 @@ represents one heuristic expression and stores
   the index) and parents (generalizations present in the index).
 
 Construction is linear in the number of sentences because the sketch of each
-sentence is bounded (``max_depth`` derivation steps): :meth:`CorpusIndex.build`
-folds the sketches in one serial pass, links parents and children, prunes
-keys below ``min_coverage`` and seals the result.
+sentence is bounded (``max_depth`` derivation steps). A sketch depends only on
+the sentence's content, so :meth:`CorpusIndex.build` builds one sketch per
+distinct sentence, lays out every key's sorted sentence ids with numpy, links
+parents and children, prunes keys below ``min_coverage`` and seals the result.
+The per-sentence fold (:meth:`CorpusIndex.add_sketch` per sentence, then
+:meth:`~CorpusIndex.link_structure`, :meth:`~CorpusIndex.prune` and
+:meth:`~CorpusIndex.seal`) builds the same index and stays public.
 
 Coverage storage is columnar: while an index is under construction each node
-accumulates a plain Python set, but once built the index is *sealed* — every
+holds its ids in a plain Python set (or, inside :meth:`CorpusIndex.build`, a
+sorted array), but once built the index is *sealed* — every
 node's ids are interned into a shared :class:`~repro.index.coverage.CoverageStore`
 as an immutable sorted ``int32`` array, and a sentence→keys inverted map is
 derived. Sealing makes :meth:`coverage` / :meth:`heuristic` zero-copy and
@@ -40,8 +45,38 @@ from .sketch import DerivationSketch, SketchKey, build_sketch
 ROOT_KEY: SketchKey = ("*", "*")
 """The virtual root node '*' matching every sentence (Algorithm 2, line 1)."""
 
-CoverageIds = Union[Set[int], CoverageView]
-"""A node's inverted list: a mutable set while building, a view once sealed."""
+CoverageIds = Union[Set[int], np.ndarray, CoverageView]
+"""A node's inverted list: a mutable set while folding sketches by hand, a
+sorted ``int32`` array inside :meth:`CorpusIndex.build`, a view once sealed."""
+
+
+def _coverage_layout(
+    pair_keys: np.ndarray,
+    pair_groups: np.ndarray,
+    group_of: np.ndarray,
+    num_keys: int,
+) -> List[np.ndarray]:
+    """Each key's sorted sentence ids, from the (key, group) pairs of a build.
+
+    Every pair is repeated over its group's members (``group_of`` maps each
+    sentence id to its group), and the ``key * N + sid`` codes are sorted
+    once, so key ``k``'s ids are one contiguous, strictly increasing
+    ``int32`` slice of the result.
+    """
+    num_sentences = group_of.size
+    sizes = np.bincount(group_of)
+    members = np.argsort(group_of, kind="stable")
+    group_starts = np.cumsum(sizes) - sizes
+    repeats = sizes[pair_groups]
+    pair_starts = np.cumsum(repeats) - repeats
+    positions = np.repeat(group_starts[pair_groups] - pair_starts, repeats)
+    positions += np.arange(positions.size)
+    codes = np.repeat(pair_keys * num_sentences, repeats)
+    codes += members[positions]
+    del positions
+    codes.sort()
+    bounds = np.searchsorted(codes, np.arange(1, num_keys) * num_sentences)
+    return np.split((codes % num_sentences).astype(np.int32), bounds)
 
 
 @dataclass
@@ -52,9 +87,9 @@ class IndexNode:
         key: ``(grammar name, expression)``.
         depth: Derivation complexity of the expression (1 for unigrams/leaves).
         sentence_ids: Inverted list of covering sentence ids. A plain ``set``
-            while the index is being built; an interned
-            :class:`~repro.index.coverage.CoverageView` once sealed (both are
-            set-likes supporting ``len``/``in``/``&``/``<=``).
+            while sketches are folded by hand (a sorted ``int32`` array inside
+            :meth:`CorpusIndex.build`); an interned
+            :class:`~repro.index.coverage.CoverageView` once sealed.
         children: Keys of specializations present in the index.
         parents: Keys of generalizations present in the index.
     """
@@ -148,16 +183,53 @@ class CorpusIndex:
         min_coverage: int = 1,
         arena_path: Optional[str] = None,
     ) -> "CorpusIndex":
-        """Build the index for ``corpus`` by merging per-sentence sketches."""
+        """Build the index for ``corpus`` by merging per-sentence sketches.
+
+        A sketch depends only on a sentence's content (see
+        :meth:`HeuristicGrammar.enumerate_expressions`), so sentences are
+        grouped by ``(text, tokens, tags, tree)`` and one sketch is built per
+        group, groups taken in order of their first sentence id. Each key's
+        coverage is then the union of its groups' members, laid out sorted
+        with numpy. The result equals folding every sentence's sketch with
+        :meth:`add_sketch` in id order: later duplicates add no new key, so
+        the nodes keep the fold's insertion order.
+        """
         index = cls(
             grammars,
             max_depth=max_depth,
             min_coverage=min_coverage,
             arena_path=arena_path,
         )
+        num_sentences = len(corpus)
+        groups: Dict[tuple, int] = {}
+        group_of = np.empty(num_sentences, dtype=np.int64)
+        key_numbers: Dict[SketchKey, int] = {}
+        pair_keys: List[int] = []
+        pair_groups: List[int] = []
         for sentence in corpus:
-            sketch = build_sketch(sentence, grammars, max_depth)
-            index.add_sketch(sketch)
+            content = (sentence.text, sentence.tokens, sentence.tags, sentence.tree)
+            group = groups.get(content)
+            if group is None:
+                group = groups[content] = len(groups)
+                sketch = build_sketch(sentence, grammars, max_depth)
+                for key, depth in sketch.entries.items():
+                    number = key_numbers.get(key)
+                    if number is None:
+                        number = key_numbers[key] = len(key_numbers)
+                        index.nodes[key] = IndexNode(key=key, depth=depth)
+                    pair_keys.append(number)
+                    pair_groups.append(group)
+            group_of[sentence.sentence_id] = group
+        ids = _coverage_layout(
+            np.array(pair_keys, dtype=np.int64),
+            np.array(pair_groups, dtype=np.int64),
+            group_of,
+            len(key_numbers),
+        )
+        for key, key_ids in zip(key_numbers, ids):
+            index.nodes[key].sentence_ids = key_ids
+        index.nodes[ROOT_KEY].sentence_ids = np.arange(num_sentences, dtype=np.int32)
+        index._num_sentences = num_sentences
         index.link_structure()
         if min_coverage > 1:
             index.prune(min_coverage)
@@ -247,11 +319,9 @@ class CorpusIndex:
         if self._sealed:
             return
         store = self.store
-        root = self.nodes[ROOT_KEY]
-        max_id = -1
-        if len(root.sentence_ids):
-            max_id = max(int(i) for i in root.sentence_ids)
-        store.ensure_universe(max(self._num_sentences, max_id + 1))
+        # intern_many grows the universe past every id it interns (the root's
+        # included); sentences may also have been counted without ids.
+        store.ensure_universe(self._num_sentences)
         # One bulk intern: every new coverage is appended as a single
         # contiguous values segment (one file write) instead of one write
         # per node.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .column import TokenColumn
 from .dependency import DependencyParser
@@ -11,14 +11,60 @@ from .sentence import Sentence
 from .tokenizer import Tokenizer
 from .vocabulary import Vocabulary
 
+def preprocess(
+    records: Iterable[Tuple[str, Optional[bool], str]],
+    tokenizer: Optional[Tokenizer] = None,
+    tagger: Optional[PosTagger] = None,
+    parser: Optional[DependencyParser] = None,
+    parse_trees: bool = True,
+) -> List[Sentence]:
+    """Tokenize, tag and parse ``(text, label, meta)`` records into sentences.
+
+    Sentence ids follow record order. Tokens, tags and the tree are pure
+    functions of the text under fixed components, so each distinct text is
+    preprocessed once and its repeats share the same (immutable) tokens
+    tuple, tags tuple and :class:`~repro.text.dependency.DependencyTree`
+    object.
+
+    Args:
+        records: ``(text, label, meta)`` per sentence.
+        tokenizer / tagger / parser: Optional component overrides.
+        parse_trees: Skip dependency parsing when False (trees are then None).
+    """
+    tokenizer = tokenizer or Tokenizer()
+    tagger = tagger or PosTagger()
+    parser = parser or DependencyParser()
+    analyses: Dict[str, tuple] = {}
+    sentences: List[Sentence] = []
+    for sentence_id, (text, label, meta) in enumerate(records):
+        analysis = analyses.get(text)
+        if analysis is None:
+            tokens = tuple(tokenizer.tokenize(text))
+            tags = tuple(tagger.tag(tokens))
+            tree = parser.parse(tokens, tags) if parse_trees and tokens else None
+            analysis = analyses[text] = (tokens, tags, tree)
+        tokens, tags, tree = analysis
+        sentences.append(
+            Sentence(
+                sentence_id=sentence_id,
+                text=text,
+                tokens=tokens,
+                tags=tags,
+                tree=tree,
+                label=label,
+                meta=meta,
+            )
+        )
+    return sentences
+
 
 class Corpus:
     """An immutable collection of preprocessed sentences.
 
     A corpus is built either from raw strings (which are tokenized, tagged and
-    parsed here) or from already-constructed :class:`Sentence` objects (the
-    dataset generators use the latter so they can attach ground-truth labels
-    and metadata).
+    parsed by :func:`preprocess`) or from already-constructed
+    :class:`Sentence` objects (the dataset generators call :func:`preprocess`
+    themselves so they can attach ground-truth labels and metadata).
 
     Ground-truth labels, when present, are *only* consumed by oracles and
     evaluation code. Darwin's search itself never looks at them.
@@ -65,29 +111,15 @@ class Corpus:
             parse_trees: Skip dependency parsing when False (slightly faster
                 when only the TokensRegex grammar is used).
         """
-        tokenizer = tokenizer or Tokenizer()
-        tagger = tagger or PosTagger()
-        parser = parser or DependencyParser()
         texts = list(texts)
         if labels is not None and len(labels) != len(texts):
             raise ValueError("labels must align with texts")
-        sentences: List[Sentence] = []
-        for index, text in enumerate(texts):
-            tokens = tuple(tokenizer.tokenize(text))
-            tags = tuple(tagger.tag(tokens))
-            tree = parser.parse(tokens, tags) if parse_trees and tokens else None
-            label = labels[index] if labels is not None else None
-            sentences.append(
-                Sentence(
-                    sentence_id=index,
-                    text=text,
-                    tokens=tokens,
-                    tags=tags,
-                    tree=tree,
-                    label=label,
-                )
-            )
-        return cls(sentences, name=name)
+        if labels is None:
+            labels = [None] * len(texts)
+        records = [(text, label, "") for text, label in zip(texts, labels)]
+        return cls(
+            preprocess(records, tokenizer, tagger, parser, parse_trees), name=name
+        )
 
     # --------------------------------------------------------------- protocol
     def __len__(self) -> int:

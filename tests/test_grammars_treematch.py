@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import RuleParseError
 from repro.grammars.treematch import TreeMatchGrammar, TreePattern
 from repro.text.corpus import Corpus
@@ -163,3 +168,35 @@ class TestNeighbourhoodAndParsing:
     def test_formal_grammar_contains_operators(self):
         cfg = self.grammar.formal_grammar(["way", "NOUN"])
         assert "/" in cfg.terminals and "//" in cfg.terminals
+
+
+# A 29-token sentence: its dependency edges give more than the 50 child
+# patterns that the conjunction step takes.
+LONG_TEXT = (
+    "the old driver in the small town quickly took the fastest shuttle from the "
+    "airport to the big hotel near the river because the late train was "
+    "cancelled today"
+)
+
+_ENUMERATE = f"""
+from repro.grammars.treematch import TreeMatchGrammar
+from repro.text.corpus import Corpus
+grammar = TreeMatchGrammar()
+sentence = Corpus.from_texts([{LONG_TEXT!r}])[0]
+for pattern in grammar.enumerate_expressions(sentence, 10):
+    print(grammar.render(pattern))
+"""
+
+
+def test_enumeration_does_not_depend_on_hash_order():
+    source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source_root)
+        result = subprocess.run(
+            [sys.executable, "-c", _ENUMERATE],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(result.stdout.splitlines())
+    assert len(outputs[0]) > 1000
+    assert outputs[0] == outputs[1]
